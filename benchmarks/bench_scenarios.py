@@ -208,7 +208,7 @@ def _middleware_run(env, n_rounds: int) -> tuple[np.ndarray, int]:
     strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
     engine = RoundEngine(env, _middleware_scenario(env.federation.n_clients))
     engine.run(strategy, n_rounds, RunHistory("bench", "synthetic", 0))
-    n_stale = sum(len(ids) for _, ids in engine.stale_log)
+    n_stale = engine.run_record()["n_stale_folded"]
     return strategy.vector, n_stale
 
 
@@ -279,6 +279,7 @@ def run_async_throughput(
     ms = _median_ms(lambda: _async_run(env, n_rounds, scenario), reps=reps)
     first, engine = _async_run(env, n_rounds, scenario)
     second, _ = _async_run(env, n_rounds, scenario)
+    record = engine.run_record()
     return {
         "scenario": (
             f"K=16, M={n_clients // 2}, durations U[1,3], decay 0.9 "
@@ -286,11 +287,11 @@ def run_async_throughput(
         ),
         "n_clients": n_clients,
         "n_rounds": n_rounds,
-        "aggregation_events": engine.n_aggregation_events,
-        "updates_absorbed": engine.n_updates_absorbed,
+        "aggregation_events": record["n_aggregation_events"],
+        "updates_absorbed": record["n_updates_absorbed"],
         "run_ms": round(ms, 3),
         "updates_absorbed_per_sec": round(
-            engine.n_updates_absorbed / (ms / 1e3), 3
+            record["n_updates_absorbed"] / (ms / 1e3), 3
         ),
         "sync_equivalent": sync_equivalent,
         "deterministic": bool(np.array_equal(first, second)),
@@ -427,8 +428,9 @@ def run_check(n_reps: int = 3) -> int:
             "async special case (K=m, duration=1) diverged from sync engine"
         )
     async_first, async_engine = _async_run(env, 3, _async_scenario(m))
-    absorbed = async_engine.n_updates_absorbed
-    events = async_engine.n_aggregation_events
+    record = async_engine.run_record()
+    absorbed = record["n_updates_absorbed"]
+    events = record["n_aggregation_events"]
     async_second, _ = _async_run(env, 3, _async_scenario(m))
     if not np.array_equal(async_first, async_second):
         failures.append("async event streams are not deterministic")

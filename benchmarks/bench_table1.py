@@ -8,7 +8,7 @@ simulator:
 * clustered/personalised methods beat plain FedAvg on the hard dataset.
 
 Absolute values are not compared — the substrate is a synthetic-data
-simulator (see DESIGN.md §2) — only ordering.
+simulator (see ``repro.data.synthetic``) — only ordering.
 """
 
 from __future__ import annotations

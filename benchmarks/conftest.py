@@ -1,6 +1,6 @@
 """Benchmark harness configuration.
 
-Each benchmark regenerates one of the paper's artefacts (see DESIGN.md §4)
+Each benchmark regenerates one of the paper's artefacts (see PAPER.md)
 at the scale selected by ``$REPRO_SCALE`` (quick / bench / paper; default
 quick) and prints the regenerated table/figure so the run doubles as the
 reproduction record.  pytest-benchmark times the regeneration.

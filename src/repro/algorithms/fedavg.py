@@ -96,11 +96,9 @@ class FedAvg(FLAlgorithm):
             cluster_labels=np.zeros(m, dtype=np.int64),
             comm=env.tracker.by_phase() | {"total": env.tracker.snapshot()},
             extras={
-                "drop_log": engine.drop_log,
-                "straggler_log": engine.straggler_log,
-                "stale_log": engine.stale_log,
-                "departure_log": engine.departure_log,
-                "quarantine_log": engine.quarantine_log,
+                # Everything the scenario did, one typed record per
+                # (round, kind, client) — see repro.fl.rounds.Event.
+                "events": engine.events,
                 # The schedule that actually happened (dispatches minus
                 # seeded drops/deadline misses) — replayable through
                 # ``ScenarioConfig(trace=...)``.

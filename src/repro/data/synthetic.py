@@ -1,9 +1,9 @@
 """Synthetic stand-ins for CIFAR-10, Fashion-MNIST and SVHN.
 
 The execution environment has no network access, so the paper's public
-datasets cannot be downloaded.  The substitution (documented in DESIGN.md)
-is a family of **class-conditional generators**: each class ``c`` owns a
-smooth random "template" image, and samples are drawn as
+datasets cannot be downloaded.  The substitution is a family of
+**class-conditional generators**: each class ``c`` owns a smooth random
+"template" image, and samples are drawn as
 
     sample = template[c] (+ small random shift) + smooth per-sample
              deformation + white noise,

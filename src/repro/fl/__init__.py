@@ -44,7 +44,6 @@ from repro.fl.eval_flat import (
     mean_local_accuracy_grouped,
 )
 from repro.fl.evaluation import EvalResult, evaluate_model, mean_local_accuracy
-from repro.fl.failures import FaultyExecutor
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import (
     BatchedClientExecutor,
@@ -56,8 +55,8 @@ from repro.fl.parallel import (
 )
 from repro.fl.rounds import (
     AsyncConfig,
+    Event,
     RoundEngine,
-    RoundOutcome,
     RoundStrategy,
     ScenarioConfig,
     aggregation_weights,
@@ -104,7 +103,6 @@ __all__ = [
     "EvalResult",
     "evaluate_model",
     "mean_local_accuracy",
-    "FaultyExecutor",
     "RoundRecord",
     "RunHistory",
     "BatchedClientExecutor",
@@ -113,8 +111,8 @@ __all__ = [
     "ThreadClientExecutor",
     "UpdateTask",
     "make_executor",
+    "Event",
     "RoundEngine",
-    "RoundOutcome",
     "RoundStrategy",
     "ScenarioConfig",
     "AsyncConfig",

@@ -18,7 +18,7 @@ arrives on time but is **wrong**.  Four pieces, wired through
 * **Update admission** (:func:`admit_updates`) — every survivor row
   passes a finiteness guard (always on) and an optional norm-bound
   guard before aggregation; rejects carry a reason code and land in the
-  engine's ``quarantine_log``.  A quarantined client was already
+  engine's event log (``engine.events``) as ``"quarantine"`` events.  A quarantined client was already
   charged its upload — the bytes crossed the network; the server just
   refuses to fold them.
 * **Robust aggregation** (:func:`robust_weighted_average`) — drop-in
@@ -330,7 +330,7 @@ def robust_weighted_average(
 CHECKPOINT_MAGIC = b"RPCKPT\x00"
 #: Codec version word; bumped on any layout change.  Readers refuse
 #: other versions loudly instead of mis-parsing.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 #: Format tag embedded in the JSON header (mirrors the availability
 #: trace's ``repro.availability-trace.v1`` convention).
 CHECKPOINT_FORMAT = "repro.checkpoint.v1"

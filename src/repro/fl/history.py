@@ -13,6 +13,8 @@ __all__ = ["RoundRecord", "RunHistory"]
 class RoundRecord:
     """Metrics for one communication round.
 
+    The scenario counters are counts over the engine's event log
+    (``engine.events``) for the events this round produced.
     ``n_stale`` counts stale (late-arriving) updates folded into this
     round's aggregation; ``n_departed`` counts clients whose departure
     round is this one.  Both stay 0 under scenarios that do not
@@ -24,15 +26,15 @@ class RoundRecord:
     history distinguishes "measured" from "not measured" instead of
     carrying the previous evaluation forward.
 
-    ``aggregation_event``/``n_buffered`` are the async engine's event
-    stream: whether this server step folded buffered updates into the
-    model, and how many arrived updates remain buffered afterwards.
-    Synchronous rounds aggregate every step with an empty buffer, which
-    the defaults encode.
+    ``aggregation_event`` marks whether this round ran the strategy's
+    aggregation at all: an async server step below its buffer trigger
+    and a synchronous round below quorum do not.  ``n_buffered`` is the
+    async engine's count of arrived updates still buffered after the
+    step; synchronous records keep it at 0.
 
     ``n_quarantined`` counts updates the admission pipeline rejected
-    this round (non-finite or norm-exploded rows; the reason codes live
-    in the engine's ``quarantine_log``).  ``quorum_failed`` marks a
+    this round, retries included (non-finite or norm-exploded rows; the
+    reason codes live on the engine's ``"quarantine"`` events).  ``quorum_failed`` marks a
     synchronous round that stayed below the scenario's
     ``min_survivors`` quorum after all retries: the server froze its
     state and logged a NaN loss instead of aggregating a cohort too

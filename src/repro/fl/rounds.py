@@ -1,18 +1,33 @@
 """The round engine: one server loop shared by every algorithm.
 
-Historically each algorithm hand-rolled its own per-round lifecycle, so
-partial participation existed only inside FedAvg and failure injection
-only as an executor wrapper.  This module extracts the loop once:
+:class:`RoundEngine` owns the per-round lifecycle once, for every
+algorithm and both scheduling modes:
 
-    select participants → broadcast packed rows → dispatch local
-    training → collect survivors → aggregate → evaluate/log
+    departures/arrivals → select participants → broadcast packed rows →
+    mode step → aggregate → evaluate → record → checkpoint
 
-:class:`RoundEngine` owns that lifecycle; algorithms are reduced to
-:class:`RoundStrategy` objects with three required hooks —
-``broadcast_for`` (participants → packed-row tasks), ``aggregate``
-(surviving updates → new server state, returning the round's train-loss
-statistic) and ``evaluate`` (the Table-I metric for the current state) —
-plus optional ``on_arrivals``/``on_round_end`` notifications.
+Algorithms are reduced to :class:`RoundStrategy` objects with three
+required hooks — ``broadcast_for`` (participants → packed-row tasks),
+``aggregate`` (the round's updates → new server state, returning the
+round's train-loss statistic) and ``evaluate`` (the Table-I metric for
+the current state) — plus optional ``on_arrivals``/``on_departures``
+notifications.
+
+The *mode step* is the only part that differs between the lockstep and
+the FedBuff-style async schedule.  Both train through one primitive
+(download charge, failures, budgets, ``run_updates``, corruption,
+steps-taken weights); the synchronous step then collects survivors,
+retries toward a quorum and folds stale work, while the async step
+parks results in an in-flight ledger, delivers the due ones, admits
+them and fires an aggregation whenever ``K`` updates are buffered.
+Updates awaiting aggregation — sync stragglers banked for stale folding
+and async deliveries alike — live in one client-keyed buffer.
+
+Everything the scenario did lands in one append-only event log,
+``engine.events``: typed ``(round, kind, client, reason)`` records
+(:class:`Event`).  The per-round
+:class:`repro.fl.history.RoundRecord` counters, :meth:`RoundEngine.run_record`,
+:meth:`RoundEngine.realized_trace` and checkpoints all read from it.
 
 Scenario policy lives in :class:`ScenarioConfig` and composes with
 **every** strategy and every executor kind (serial/thread/process/
@@ -24,10 +39,9 @@ never on the executor or the payload format:
   stream (``env.server_rng(round_index)``), exactly as FedAvg's
   historical loop did;
 * **failures** — seeded pre-training drops on the stateless
-  ``(seed, round, client)`` stream the legacy
-  :class:`repro.fl.failures.FaultyExecutor` used (same tag, same
-  draws).  A failed client consumed the broadcast — the download is
-  charged — but never trains or uploads;
+  ``(seed, round, client)`` stream of :data:`FAILURE_TAG`.  A failed
+  client consumed the broadcast — the download is charged — but never
+  trains or uploads;
 * **stragglers** — seeded post-training drops on an independent stream.
   A straggler trains and uploads, but its update arrives after the
   aggregation deadline: both transfers are charged, the update misses
@@ -74,11 +88,12 @@ never on the executor or the payload format:
   executor kind and the async in-flight path see identical corruption;
 * **admission + robust aggregation** — before aggregation every
   survivor row passes a finiteness guard (always on) and an optional
-  norm-bound guard; rejects land in ``engine.quarantine_log`` with
-  reason codes, keep their upload charge (the bytes crossed the
-  network), and are excluded from weight renormalisation.
-  ``robust_agg`` swaps the plain weighted average at the shared choke
-  point (:func:`repro.algorithms.base.survivor_weighted_average`) for
+  norm-bound guard; rejects land in ``engine.events`` as
+  ``"quarantine"`` events with reason codes, keep their upload charge
+  (the bytes crossed the network), and are excluded from weight
+  renormalisation.  ``robust_agg`` swaps the plain weighted average at
+  the shared choke point
+  (:func:`repro.algorithms.base.survivor_weighted_average`) for
   norm-clipping, a coordinate-wise trimmed mean, or the coordinate-wise
   median — ``"none"`` stays byte-for-byte the historical rule;
 * **survivor quorum + retry** — ``min_survivors=q`` with
@@ -92,22 +107,21 @@ never on the executor or the payload format:
 * **checkpoint/resume** — with a
   :class:`repro.fl.defense.CheckpointConfig` on the scenario the engine
   writes a versioned single-file checkpoint on a round cadence (server
-  rows at wire dtype, round counter, buffers, logs, traffic, history)
-  and can resume from it; a resumed run reproduces the uninterrupted
-  one bit-identically because all middleware randomness is stateless in
-  (seed, round, client) — the file only needs the round counter, never
-  a generator state.
+  rows at wire dtype, round counter, event log, update buffers,
+  traffic, history) and can resume from it; a resumed run reproduces
+  the uninterrupted one bit-identically because all middleware
+  randomness is stateless in (seed, round, client) — the file only
+  needs the round counter, never a generator state.
 
 At least one participant always survives a *dispatched* round (a round
 whose whole cohort fails or misses the deadline would deadlock
 aggregation; a real server would re-broadcast instead) — the
-deterministically-first client by id is kept, mirroring the historical
-``FaultyExecutor`` guarantee.  The guarantee is about the middleware,
-not the schedule: an availability trace may legitimately leave a round
-with **no eligible clients at all** (a replayed federation can go
-fully dark).  Such a round dispatches nothing; every strategy keeps
-its state and logs a NaN train loss, and evaluation still runs on its
-cadence.
+deterministically-first client by id is kept.  The guarantee is about
+the middleware, not the schedule: an availability trace may
+legitimately leave a round with **no eligible clients at all** (a
+replayed federation can go fully dark).  Such a round dispatches
+nothing; every strategy keeps its state and logs a NaN train loss, and
+evaluation still runs on its cadence.
 
 Under the default scenario (full participation, no failures) the engine
 performs exactly the tracker calls and aggregation arithmetic of the
@@ -120,8 +134,9 @@ from __future__ import annotations
 
 import abc
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -165,7 +180,7 @@ __all__ = [
     "CheckpointConfig",
     "CheckpointError",
     "DispatchOutcome",
-    "RoundOutcome",
+    "Event",
     "RoundStrategy",
     "RoundEngine",
     "aggregation_weights",
@@ -173,8 +188,8 @@ __all__ = [
 ]
 
 #: rng_for namespace tag of the failure stream.  Value 13 is load-bearing:
-#: it is the stream the legacy ``FaultyExecutor`` drew from, so scenario
-#: failures reproduce the exact drop sets of historical faulty runs.
+#: every seeded failure pin (and the drop sets of historical faulty runs)
+#: was drawn from it.
 FAILURE_TAG = 13
 #: Straggler draws use an independent stream.
 STRAGGLER_TAG = 17
@@ -340,15 +355,16 @@ class ScenarioConfig:
         clients are always on.  Composes with arrivals/departures by
         intersection.
     async_config:
-        ``None`` (default) keeps the synchronous lockstep loop.  An
-        :class:`AsyncConfig` switches the engine to the FedBuff-style
-        event-stream loop: dispatch and aggregation decouple, clients
-        stay in flight across server steps, and ``staleness_decay``
-        becomes the per-step-of-age buffer discount.  Incompatible with
-        ``straggler_rate`` — stragglers are a synchronous-deadline
-        concept; model latency via ``duration_range`` instead.  All
-        other middleware (participation, failures, budgets, arrivals,
-        departures, traces) composes unchanged.
+        ``None`` (default) keeps the synchronous lockstep schedule.  An
+        :class:`AsyncConfig` switches the engine's mode step to the
+        FedBuff-style event stream: dispatch and aggregation decouple,
+        clients stay in flight across server steps, and
+        ``staleness_decay`` becomes the per-step-of-age buffer
+        discount.  Incompatible with ``straggler_rate`` — stragglers
+        are a synchronous-deadline concept; model latency via
+        ``duration_range`` instead.  All other middleware
+        (participation, failures, budgets, arrivals, departures,
+        traces) composes unchanged.
     corruption:
         ``None`` (default) returns every update pristine.  A
         :class:`repro.fl.defense.CorruptionConfig` draws seeded
@@ -537,6 +553,36 @@ class ScenarioConfig:
                 )
 
 
+class Event(NamedTuple):
+    """One record of the engine's append-only event log.
+
+    ``round`` is the round the event belongs to; dispatches of a quorum
+    retry or a :meth:`RoundEngine.dispatch_with_retry` attempt log under
+    their derived epoch (``round + 1_000_000 × attempt``).  ``client``
+    is the client id (``-1`` for the server-side ``"aggregate"``
+    event) and ``reason`` the quarantine reason code (empty for every
+    other kind).  ``kind`` is one of, in lifecycle order:
+
+    * ``"depart"`` — the client departed at the start of the round;
+    * ``"dispatch"`` — the client was sent the round's primary work
+      (quorum retries are recovery traffic and log no dispatch);
+    * ``"drop"`` — a seeded failure before training (download charged);
+    * ``"quarantine"`` — admission rejected the client's update
+      (``reason`` holds the :mod:`repro.fl.defense` code);
+    * ``"straggler"`` — the update missed the synchronous deadline;
+    * ``"stale"`` — a buffered update from an earlier round folded into
+      this round's aggregation;
+    * ``"absorb"`` — the client's update entered this round's
+      aggregation;
+    * ``"aggregate"`` — the server ran ``strategy.aggregate``.
+    """
+
+    round: int
+    kind: str
+    client: int
+    reason: str = ""
+
+
 @dataclass
 class DispatchOutcome:
     """What came back from one dispatched task list.
@@ -545,8 +591,8 @@ class DispatchOutcome:
     when stale folding is on (the default path must not keep dead
     updates alive across the next round's cohort allocation).
     ``quarantined`` holds the admission rejects as ``(client id,
-    reason)`` pairs; the same pairs are appended to the engine's
-    ``quarantine_log``.
+    reason)`` pairs; the same pairs are logged as ``"quarantine"``
+    events.
     """
 
     survivors: list[ClientUpdate]
@@ -554,26 +600,6 @@ class DispatchOutcome:
     stragglers: np.ndarray
     late: list[ClientUpdate] = field(default_factory=list)
     quarantined: list[tuple[int, str]] = field(default_factory=list)
-
-
-@dataclass
-class RoundOutcome:
-    """Everything that happened in one engine round."""
-
-    round_index: int
-    participants: np.ndarray
-    survivors: list[ClientUpdate]
-    failed: np.ndarray
-    stragglers: np.ndarray
-    arrived: np.ndarray
-    train_loss: float
-    evaluated: bool
-    mean_accuracy: float
-    #: Client ids whose stale (previous-round) updates were folded into
-    #: this round's aggregation.
-    stale: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    #: Client ids that departed at the start of this round.
-    departed: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
 
 class RoundStrategy(abc.ABC):
@@ -640,9 +666,6 @@ class RoundStrategy(abc.ABC):
         freeze or archive it here.
         """
 
-    def on_round_end(self, engine: "RoundEngine", outcome: RoundOutcome) -> None:
-        """Post-round notification (after history logging)."""
-
     def checkpoint_payload(
         self, engine: "RoundEngine"
     ) -> tuple[dict, dict[str, np.ndarray]]:
@@ -679,7 +702,8 @@ class RoundEngine:
 
     One engine instance runs one (or several consecutive) training
     phases; it holds no model state — that lives in the strategy — only
-    the environment, the scenario policy and the failure/straggler logs.
+    the environment, the scenario policy, the event log and the update
+    buffers.
     """
 
     def __init__(
@@ -705,41 +729,21 @@ class RoundEngine:
                 "— the quorum could never be met"
             )
         self.scenario.validate_for(env.federation.n_clients)
-        #: (round, dropped client ids) — failure middleware log.
-        self.drop_log: list[tuple[int, list[int]]] = []
-        #: (round, straggler client ids) — straggler middleware log.
-        self.straggler_log: list[tuple[int, list[int]]] = []
-        #: (round, folded stale client ids) — stale-update middleware log.
-        self.stale_log: list[tuple[int, list[int]]] = []
-        #: (round, departed client ids) — departure middleware log.
-        self.departure_log: list[tuple[int, list[int]]] = []
-        #: (round, dispatched client ids) — every cohort the engine sent
-        #: work to, including clients that then failed or straggled.
-        #: Together with drop/straggler logs this is the realized
-        #: schedule (:meth:`realized_trace`).
-        self.participation_log: list[tuple[int, list[int]]] = []
-        #: (round, [(client id, reason), ...]) — admission rejects.
-        #: Reasons are the :mod:`repro.fl.defense` codes
-        #: (``"non_finite"``, ``"norm_bound"``).  Retry dispatches log
-        #: under their derived epoch (``round + 1_000_000 × attempt``),
-        #: like the drop log.
-        self.quarantine_log: list[tuple[int, list[tuple[int, str]]]] = []
-        #: Admission rejects observed in the round currently running
-        #: (feeds ``RoundRecord.n_quarantined``; reset per round).
-        self._quarantined_this_round = 0
-        #: client id → (round produced, late update) awaiting folding.
-        self._stale_buffer: dict[int, tuple[int, ClientUpdate]] = {}
+        #: The append-only event log (:class:`Event` records, in the
+        #: order they happened).  Round records, :meth:`run_record`,
+        #: :meth:`realized_trace` and checkpoints all read from it.
+        self.events: list[Event] = []
+        #: client id → (round produced, update) awaiting aggregation —
+        #: sync stragglers banked for stale folding, async deliveries
+        #: waiting for the K trigger.  One entry per client; a newer
+        #: update replaces (and moves behind) an older one, so the dict
+        #: order is the async arrival order.
+        self._buffer: dict[int, tuple[int, ClientUpdate]] = {}
         #: Async mode: dispatched-but-undelivered work (durations drawn
         #: on the DURATION_TAG stream decide the delivery round).
         self._in_flight = InFlightBuffer()
-        #: Async mode: (dispatch round, update) pairs arrived at the
-        #: server but not yet aggregated.
-        self._async_buffer: list[tuple[int, ClientUpdate]] = []
-        #: Async throughput counters (updates-absorbed/sec benchmark).
-        self.n_aggregation_events = 0
-        self.n_updates_absorbed = 0
         #: Run-state stash so ``engine.checkpoint(path)`` works without
-        #: arguments mid-run (e.g. from an ``on_round_end`` hook).
+        #: arguments mid-run.
         self._run_strategy: RoundStrategy | None = None
         self._run_history: RunHistory | None = None
         self._next_round = 1
@@ -750,7 +754,7 @@ class RoundEngine:
 
     @property
     def is_async(self) -> bool:
-        """True when the scenario runs the event-stream (FedBuff) loop."""
+        """True when rounds run the FedBuff-style async mode step."""
         return self.scenario.async_config is not None
 
     @property
@@ -847,7 +851,7 @@ class RoundEngine:
         reproduced exactly.
 
         ``exclude`` removes clients from the eligible pool before
-        sampling — the async loop passes the in-flight set so a client
+        sampling — async mode passes the in-flight set so a client
         is never dispatched twice concurrently.  An empty/None exclusion
         leaves the synchronous draw sequence untouched.
         """
@@ -868,7 +872,7 @@ class RoundEngine:
     def _apply_failures(
         self, tasks: Sequence[UpdateTask], round_index: int
     ) -> tuple[list[UpdateTask], list[int]]:
-        """Seeded pre-training drops (legacy ``FaultyExecutor`` stream)."""
+        """Seeded pre-training drops on the :data:`FAILURE_TAG` stream."""
         rate = self.scenario.failure_rate
         if rate <= 0.0 or not tasks:
             return list(tasks), []
@@ -926,41 +930,78 @@ class RoundEngine:
                 drawn if task.max_steps is None else min(task.max_steps, drawn)
             )
 
-    def _fold_stale(
-        self, round_index: int, dispatched: DispatchOutcome
-    ) -> list[int]:
-        """Stale-update middleware: fold buffered late work, buffer new.
+    def _log(
+        self, round_index: int, kind: str, clients: Iterable[int]
+    ) -> None:
+        """Append one ``kind`` event per client id."""
+        self.events.extend(Event(round_index, kind, int(c)) for c in clients)
 
-        Every buffered update either folds into this round's survivor
-        list (weight × ``decay ** age``) or is dropped because its
-        client delivered a fresh update this round; the buffer then
-        takes on this round's stragglers for a future round.  Returns
-        the folded client ids (sorted).
+    def _bank(self, entries: Iterable[tuple[int, ClientUpdate]]) -> None:
+        """Park ``(round produced, update)`` entries until aggregation.
+
+        One entry per client: a newer update pops the client's older
+        entry and is set again, behind everything already buffered.
         """
-        decay = self.scenario.staleness_decay
-        if decay <= 0.0:
-            return []
-        folded: list[int] = []
-        fresh = {u.client_id for u in dispatched.survivors}
-        for cid in sorted(self._stale_buffer):
-            produced, update = self._stale_buffer.pop(cid)
-            if cid in fresh:
-                continue  # superseded: one update per client per round
-            age = round_index - produced
-            # Fold a discounted *copy*: the buffered object stays
-            # pristine, so a path that observes the same update twice
-            # can never compound the decay.
-            dispatched.survivors.append(discounted_update(update, decay, age))
-            folded.append(cid)
-        for update in dispatched.late:
-            self._stale_buffer[update.client_id] = (round_index, update)
-        if folded:
-            self.stale_log.append((round_index, folded))
-        return folded
+        for produced, update in entries:
+            self._buffer.pop(update.client_id, None)
+            self._buffer[update.client_id] = (produced, update)
+
+    def _drain(
+        self, round_index: int, fresh: list[ClientUpdate], order: Iterable[int]
+    ) -> list[ClientUpdate]:
+        """This round's aggregation input: ``fresh`` then the buffer.
+
+        Pops the buffered entries of the clients in ``order`` and
+        appends them to ``fresh``.  An entry from an earlier round folds
+        as a *copy* weighted by ``decay ** age`` (:func:`discounted_update`;
+        ``staleness_decay == 0`` folds async lateness undiscounted) and
+        is logged as a ``"stale"`` event.
+        """
+        decay = self.scenario.staleness_decay or 1.0
+        stale = []
+        for cid in order:
+            produced, update = self._buffer.pop(cid)
+            if produced < round_index:
+                update = discounted_update(update, decay, round_index - produced)
+                stale.append(cid)
+            fresh.append(update)
+        self._log(round_index, "stale", sorted(stale))
+        return fresh
 
     # ------------------------------------------------------------------
-    # Dispatch: broadcast accounting + middleware + executor
+    # Training and dispatch: broadcast accounting + middleware + executor
     # ------------------------------------------------------------------
+    def _train(
+        self,
+        tasks: Sequence[UpdateTask],
+        round_index: int,
+        phase: str,
+        charge_download: bool,
+    ) -> tuple[list[ClientUpdate], list[int]]:
+        """Train one task list: the first half every dispatch shares.
+
+        Charges the download for **every** task (a client that fails
+        mid-round already consumed the broadcast), draws failures and
+        budgets, runs the executor, applies corruption and — under
+        compute budgets — sets each update's weight to the steps it
+        actually took.  Returns ``(updates, failed client ids)``.
+        """
+        env = self.env
+        if charge_download and tasks:
+            env.tracker.record_download(env.n_params * len(tasks), phase)
+        alive, failed_ids = self._apply_failures(tasks, round_index)
+        self._log(round_index, "drop", failed_ids)
+        self._apply_budgets(alive, round_index)
+        updates = env.run_updates(alive, round_index)
+        updates = self._apply_corruption(updates, round_index)
+        if self.scenario.compute_budget is not None:
+            # FedNova-style renormalisation: weight by steps actually
+            # taken, so a budget-truncated client counts for what it
+            # computed and a zero-step client counts for nothing.
+            for update in updates:
+                update.weight = float(update.n_batches)
+        return updates, failed_ids
+
     def dispatch(
         self,
         tasks: Sequence[UpdateTask],
@@ -969,47 +1010,29 @@ class RoundEngine:
         charge_download: bool = True,
         charge_upload: bool = True,
     ) -> DispatchOutcome:
-        """Run one task list through failure/straggler middleware.
+        """Run one task list through the synchronous middleware.
 
-        Downloads are charged for **every** task — a client that fails
-        mid-round already consumed the broadcast — while uploads are
-        charged only for clients that finished training (stragglers
-        uploaded too, just late).  ``charge_upload=False`` lets callers
-        with partial-weight uploads (FedClust's clustering round)
-        account the upload themselves.
+        :meth:`_train` first; then uploads are charged only for clients
+        that finished training (stragglers uploaded too, just late).
+        ``charge_upload=False`` lets callers with partial-weight uploads
+        (FedClust's clustering round) account the upload themselves.
 
-        Corruption events fire on the returned updates (after the
-        upload charge — the corrupted bytes crossed the network), then
-        — when any hardening knob arms :attr:`admission_active` —
-        every update passes admission before the straggler split:
-        quarantined clients are neither survivors nor stale candidates,
-        and a quarantined straggler never reaches the stale buffer.
-        Because admission runs here, the downstream buffers (stale,
-        async in-flight delivery aside) only ever hold admitted rows.
+        Corruption fires before the upload charge (the corrupted bytes
+        crossed the network); then — when any hardening knob arms
+        :attr:`admission_active` — every update passes admission before
+        the straggler split: quarantined clients are neither survivors
+        nor stale candidates, and a quarantined straggler never reaches
+        the update buffer.
         """
         env = self.env
         phase = self.phase if phase is None else phase
-        if charge_download and tasks:
-            env.tracker.record_download(env.n_params * len(tasks), phase)
-        alive, failed_ids = self._apply_failures(tasks, round_index)
-        self._apply_budgets(alive, round_index)
-        updates = env.run_updates(alive, round_index)
-        updates = self._apply_corruption(updates, round_index)
+        updates, failed_ids = self._train(tasks, round_index, phase, charge_download)
         if charge_upload and updates:
             env.tracker.record_upload(env.n_params * len(updates), phase)
-        if self.scenario.compute_budget is not None:
-            # FedNova-style renormalisation: weight by steps actually
-            # taken, so a budget-truncated client counts for what it
-            # computed and a zero-step client counts for nothing.
-            for update in updates:
-                update.weight = float(update.n_batches)
         updates, quarantined = self._admit(updates, round_index)
         survivors, late = self._apply_stragglers(updates, round_index)
         straggler_ids = sorted(u.client_id for u in late)
-        if failed_ids:
-            self.drop_log.append((round_index, failed_ids))
-        if straggler_ids:
-            self.straggler_log.append((round_index, straggler_ids))
+        self._log(round_index, "straggler", straggler_ids)
         return DispatchOutcome(
             survivors=survivors,
             failed=np.array(failed_ids, dtype=np.int64),
@@ -1043,9 +1066,10 @@ class RoundEngine:
         admitted, rejected = admit_updates(
             updates, self.env.layout, self.scenario.norm_bound
         )
-        if rejected:
-            self.quarantine_log.append((round_index, rejected))
-            self._quarantined_this_round += len(rejected)
+        self.events.extend(
+            Event(round_index, "quarantine", int(cid), reason)
+            for cid, reason in rejected
+        )
         return admitted, rejected
 
     def dispatch_with_retry(
@@ -1112,122 +1136,128 @@ class RoundEngine:
         from "not measured this round" instead of silently carrying the
         previous evaluation forward.
 
-        With an :class:`AsyncConfig` on the scenario the engine runs the
-        event-stream loop (:meth:`_run_async`) instead; the synchronous
-        path below is byte-for-byte the PR-5 loop.
+        Each round runs the shared head (departures, arrivals,
+        selection, broadcast), one mode step — :meth:`_sync_step`, or
+        :meth:`_async_step` under an :class:`AsyncConfig` — and the
+        shared tail (aggregate if the step produced an aggregation
+        input, evaluate, record, checkpoint).  A round without an
+        aggregation — an async step below the K trigger, a sync round
+        below quorum — logs a NaN train loss with
+        ``aggregation_event=False``.
         """
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
-        if self.is_async:
-            return self._run_async(
-                strategy, n_rounds, history, first_round, eval_every
-            )
         env = self.env
-        m = env.federation.n_clients
-        mean_acc, per_client = float("nan"), np.full(m, np.nan)
         last_round = first_round + n_rounds - 1
+        mean_acc, per_client = float("nan"), np.full(env.federation.n_clients, np.nan)
         start_round, restored = self._maybe_resume(strategy, history, first_round)
         if restored is not None:
             mean_acc, per_client = restored
-            if start_round > last_round:
-                return mean_acc, per_client
-
         for round_index in range(start_round, last_round + 1):
             t0 = time.perf_counter()
-            self._quarantined_this_round = 0
+            mark = len(self.events)
             departed = self.departures_at(round_index)
             if departed.size:
-                self.departure_log.append((round_index, departed.tolist()))
+                self._log(round_index, "depart", departed)
                 strategy.on_departures(self, round_index, departed)
             arrived = self.arrivals_at(round_index)
             if arrived.size:
                 strategy.on_arrivals(self, round_index, arrived)
-            participants = self.select_participants(round_index)
-            if participants.size:
-                self.participation_log.append(
-                    (round_index, [int(c) for c in participants])
-                )
+            participants = self._select(round_index)
+            self._log(round_index, "dispatch", participants)
             tasks = strategy.broadcast_for(self, round_index, participants)
-            charge = strategy.charges_communication
-            dispatched = self.dispatch(
-                tasks,
-                round_index,
-                charge_download=charge,
-                charge_upload=charge,
-            )
-            quorum = self.scenario.min_survivors
-            if (
-                quorum > 0
-                and participants.size
-                and len(dispatched.survivors) < quorum
-            ):
-                self._retry_for_quorum(
-                    strategy, round_index, participants, dispatched, charge
-                )
-            quorum_failed = bool(
-                quorum > 0
-                and participants.size
-                and len(dispatched.survivors) < quorum
-            )
-            if quorum_failed:
-                # Graceful degradation: never aggregate a cohort below
-                # quorum.  State stays frozen and buffered stale work
-                # stays buffered (it would only fold at an aggregation
-                # that is not happening), but this round's own late
-                # work is still banked for a future healthy round.
-                if self.scenario.staleness_decay > 0.0:
-                    for update in dispatched.late:
-                        self._stale_buffer[update.client_id] = (
-                            round_index,
-                            update,
-                        )
-                stale_ids: list[int] = []
-                train_loss = float("nan")
+            if self.is_async:
+                folded = self._async_step(strategy, round_index, tasks, last_round)
             else:
-                stale_ids = self._fold_stale(round_index, dispatched)
-                train_loss = strategy.aggregate(
-                    self, round_index, dispatched.survivors
-                )
+                folded = self._sync_step(strategy, round_index, participants, tasks)
+            train_loss = float("nan")
+            if folded is not None:
+                train_loss = strategy.aggregate(self, round_index, folded)
+                self._log(round_index, "absorb", [u.client_id for u in folded])
+                self.events.append(Event(round_index, "aggregate", -1))
+                # Release the round's updates before evaluation and the
+                # next round's cohort allocation.
+                folded = None
             evaluated = round_index == last_round or round_index % eval_every == 0
             if evaluated:
                 mean_acc, per_client = strategy.evaluate(self, round_index)
             self._next_round = round_index + 1
             self._last_eval = (mean_acc, per_client)
+            counts = Counter(event.kind for event in self.events[mark:])
             history.append(
                 RoundRecord(
                     round_index=round_index,
                     mean_train_loss=train_loss,
                     mean_local_accuracy=mean_acc if evaluated else float("nan"),
-                    n_participants=len(participants),
+                    n_participants=counts["dispatch"],
                     n_clusters=strategy.current_n_clusters(),
                     uploaded_params=env.tracker.total_uploaded,
                     downloaded_params=env.tracker.total_downloaded,
                     wall_seconds=time.perf_counter() - t0,
-                    n_stale=len(stale_ids),
-                    n_departed=int(departed.size),
-                    n_quarantined=self._quarantined_this_round,
-                    quorum_failed=quorum_failed,
+                    n_stale=counts["stale"],
+                    n_departed=counts["depart"],
+                    # Counts async deliveries awaiting the K trigger;
+                    # stragglers banked for a sync stale fold are not
+                    # arrived updates and are not counted.
+                    n_buffered=len(self._buffer) if self.is_async else 0,
+                    n_quarantined=counts["quarantine"],
+                    aggregation_event=counts["aggregate"] > 0,
+                    quorum_failed=not self.is_async and not counts["aggregate"],
                     evaluated=evaluated,
                 )
             )
-            strategy.on_round_end(
-                self,
-                RoundOutcome(
-                    round_index=round_index,
-                    participants=participants,
-                    survivors=dispatched.survivors,
-                    failed=dispatched.failed,
-                    stragglers=dispatched.stragglers,
-                    arrived=arrived,
-                    train_loss=train_loss,
-                    evaluated=evaluated,
-                    mean_accuracy=mean_acc,
-                    stale=np.array(stale_ids, dtype=np.int64),
-                    departed=departed,
-                ),
-            )
             self._maybe_checkpoint(round_index, last_round)
         return mean_acc, per_client
+
+    def _select(self, round_index: int) -> np.ndarray:
+        """The round's participants; async mode skips clients in flight
+        and truncates to the free ``max_concurrency`` slots."""
+        cfg = self.scenario.async_config
+        if cfg is None:
+            return self.select_participants(round_index)
+        participants = self.select_participants(
+            round_index, exclude=self._in_flight.client_ids
+        )
+        if cfg.max_concurrency is not None:
+            slots = cfg.max_concurrency - len(self._in_flight)
+            participants = participants[: max(0, slots)]
+        return participants
+
+    def _sync_step(
+        self,
+        strategy: RoundStrategy,
+        round_index: int,
+        participants: np.ndarray,
+        tasks: list[UpdateTask],
+    ) -> list[ClientUpdate] | None:
+        """Lockstep: dispatch, quorum retry, stale fold.
+
+        Returns the aggregation input — fresh survivors in dispatch
+        order, then buffered stale work by ascending client id (a
+        buffered update whose client delivered fresh work is dropped:
+        one update per client per round) — or ``None`` for a round that
+        stayed below quorum.  Such a round never aggregates: state stays
+        frozen and buffered stale work stays buffered, but the round's
+        own late work is still banked for a future healthy round.
+        """
+        charge = strategy.charges_communication
+        dispatched = self.dispatch(
+            tasks, round_index, charge_download=charge, charge_upload=charge
+        )
+        quorum = self.scenario.min_survivors
+        folded: list[ClientUpdate] | None = dispatched.survivors
+        if quorum > 0 and participants.size and len(folded) < quorum:
+            self._retry_for_quorum(
+                strategy, round_index, participants, dispatched, charge
+            )
+            if len(folded) < quorum:
+                folded = None
+        if folded is not None and self._buffer:
+            for update in folded:
+                self._buffer.pop(update.client_id, None)  # superseded
+            folded = self._drain(round_index, folded, sorted(self._buffer))
+        self._bank((round_index, update) for update in dispatched.late)
+        return folded
 
     def _retry_for_quorum(
         self,
@@ -1243,11 +1273,11 @@ class RoundEngine:
         real network event) to the participants that have delivered
         nothing yet — neither an admitted update nor a buffered late
         one — on the fresh seeded epoch ``round + 1_000_000 × attempt``
-        (attempt ≥ 1; the original dispatch was attempt 0).  Responses
-        merge into ``dispatched`` in place.  Retry dispatches do not
-        join the participation log: :meth:`realized_trace` captures the
-        primary schedule, not the recovery traffic (the drop/straggler/
-        quarantine logs hold the derived epochs).
+        (attempt ≥ 1; the original dispatch was attempt 0).  Survivors
+        and late work merge into ``dispatched`` in place.  Retries log
+        no ``"dispatch"`` events: :meth:`realized_trace` captures the
+        primary schedule, not the recovery traffic (their drop/
+        straggler/quarantine events carry the derived epochs).
         """
         scenario = self.scenario
         delivered = {u.client_id for u in dispatched.survivors}
@@ -1271,212 +1301,67 @@ class RoundEngine:
             )
             dispatched.survivors.extend(outcome.survivors)
             dispatched.late.extend(outcome.late)
-            dispatched.quarantined.extend(outcome.quarantined)
-            dispatched.failed = np.union1d(dispatched.failed, outcome.failed)
-            dispatched.stragglers = np.union1d(
-                dispatched.stragglers, outcome.stragglers
-            )
             delivered |= {u.client_id for u in outcome.survivors}
             delivered |= {u.client_id for u in outcome.late}
 
-    # ------------------------------------------------------------------
-    # The async event-stream lifecycle (FedBuff-style)
-    # ------------------------------------------------------------------
-    def _run_async(
+    def _async_step(
         self,
         strategy: RoundStrategy,
-        n_rounds: int,
-        history: RunHistory,
-        first_round: int,
-        eval_every: int,
-    ) -> tuple[float, np.ndarray]:
-        """Dispatch and aggregation as separate event streams.
+        round_index: int,
+        tasks: list[UpdateTask],
+        last_round: int,
+    ) -> list[ClientUpdate] | None:
+        """FedBuff-style: in-flight ledger, delivery, admission, K trigger.
 
-        Per server step: deliver due in-flight updates into the buffer,
-        dispatch fresh work to free clients (failures and budgets apply
-        at dispatch; each dispatch draws a seeded duration), and fire an
-        aggregation event when the buffer holds ``buffer_size`` updates
-        — every buffered update folds at ``decay ** age`` into a *copy*
-        (:func:`discounted_update`), so strategies see one survivor list
-        exactly as in the synchronous loop.  Client results are computed
-        eagerly at dispatch time (they depend only on the seeded
-        (dispatch round, client) stream and the broadcast payload, so
-        executor kind cannot change them) and merely *delivered* late.
-
-        Steps without an aggregation event log a NaN train loss with
-        ``aggregation_event=False``; evaluation runs on its usual
-        cadence against whatever state the strategy currently holds.
-        The final round flushes a partially-filled buffer; work still in
-        flight at the end of the run is abandoned (server shutdown).
+        Client results are computed eagerly at dispatch (they depend
+        only on the seeded (dispatch round, client) stream and the
+        broadcast payload, so executor kind cannot change them), parked
+        in the in-flight ledger for a seeded duration, and *delivered*
+        late: the upload is charged at delivery, then admission runs, so
+        a corrupted row never enters the buffer.  Whenever the buffer
+        holds ``buffer_size`` updates — or in the final round, which
+        flushes a partial buffer — the whole buffer drains in arrival
+        order into the aggregation input.  Work still in flight at the
+        end of the run is abandoned (server shutdown).
         """
         cfg = self.scenario.async_config
-        assert cfg is not None
         lo, hi = cfg.duration_range
         env = self.env
-        m = env.federation.n_clients
-        decay = self.scenario.staleness_decay
-        mean_acc, per_client = float("nan"), np.full(m, np.nan)
-        last_round = first_round + n_rounds - 1
-        budget = self.scenario.compute_budget
-        start_round, restored = self._maybe_resume(strategy, history, first_round)
-        if restored is not None:
-            mean_acc, per_client = restored
-            if start_round > last_round:
-                return mean_acc, per_client
-
-        for round_index in range(start_round, last_round + 1):
-            t0 = time.perf_counter()
-            self._quarantined_this_round = 0
-            departed = self.departures_at(round_index)
-            if departed.size:
-                self.departure_log.append((round_index, departed.tolist()))
-                strategy.on_departures(self, round_index, departed)
-            arrived = self.arrivals_at(round_index)
-            if arrived.size:
-                strategy.on_arrivals(self, round_index, arrived)
-
-            # --- dispatch stream: fresh work for free clients ---------
-            participants = self.select_participants(
-                round_index, exclude=self._in_flight.client_ids
-            )
-            if cfg.max_concurrency is not None:
-                slots = cfg.max_concurrency - len(self._in_flight)
-                participants = participants[: max(0, slots)]
-            if participants.size:
-                self.participation_log.append(
-                    (round_index, [int(c) for c in participants])
-                )
-            tasks = strategy.broadcast_for(self, round_index, participants)
-            charge = strategy.charges_communication
-            if charge and tasks:
-                env.tracker.record_download(
-                    env.n_params * len(tasks), self.phase
-                )
-            alive, failed_ids = self._apply_failures(tasks, round_index)
-            if failed_ids:
-                self.drop_log.append((round_index, failed_ids))
-            self._apply_budgets(alive, round_index)
-            updates = env.run_updates(alive, round_index)
-            # Corruption fires at dispatch (keyed by the dispatch
-            # round, like the duration draw), so the in-flight buffer
-            # carries the corrupted row and admission catches it at
-            # delivery — after the upload is charged, exactly as in the
-            # synchronous path.
-            updates = self._apply_corruption(updates, round_index)
-            if budget is not None:
-                for update in updates:
-                    update.weight = float(update.n_batches)
-            completes_at = [
+        charge = strategy.charges_communication
+        # Corruption fires at dispatch (keyed by the dispatch round,
+        # like the duration draw), so the ledger carries the corrupted
+        # row and admission catches it at delivery.
+        updates, _ = self._train(tasks, round_index, self.phase, charge)
+        self._in_flight.add(
+            updates,
+            round_index,
+            [
                 round_index
                 - 1
                 + int(
                     rng_for(
-                        env.seed, DURATION_TAG, round_index, task.client_id
+                        env.seed, DURATION_TAG, round_index, update.client_id
                     ).integers(lo, hi + 1)
                 )
-                for task in alive
-            ]
-            self._in_flight.add(updates, round_index, completes_at)
-
-            # --- arrival stream: absorb due updates into the buffer ---
-            due = self._in_flight.collect_due(round_index)
-            if charge and due:
+                for update in updates
+            ],
+        )
+        due = self._in_flight.collect_due(round_index)
+        if due:
+            if charge:
                 env.tracker.record_upload(env.n_params * len(due), self.phase)
-            if due:
-                # Admission at delivery: the upload was charged (the
-                # bytes arrived), but a corrupted row never enters the
-                # aggregation buffer.  A client is never in flight
-                # twice, so rejected ids map back unambiguously.
-                _, rejected = self._admit(
-                    [update for _, update in due], round_index
-                )
-                if rejected:
-                    rejected_ids = {cid for cid, _ in rejected}
-                    due = [
-                        entry
-                        for entry in due
-                        if entry[1].client_id not in rejected_ids
-                    ]
-            for dispatch_round, update in due:
-                # One update per client per aggregation: a newer arrival
-                # supersedes an older buffered one (the old upload was
-                # still charged — it did cross the network).
-                self._async_buffer = [
-                    entry
-                    for entry in self._async_buffer
-                    if entry[1].client_id != update.client_id
-                ]
-                self._async_buffer.append((dispatch_round, update))
-
-            # --- aggregation event at K buffered (final round flushes)
-            aggregation_event = len(self._async_buffer) >= cfg.buffer_size or (
-                round_index == last_round and bool(self._async_buffer)
-            )
-            train_loss = float("nan")
-            stale_ids: list[int] = []
-            folded: list[ClientUpdate] = []
-            if aggregation_event:
-                folded = [
-                    update
-                    if round_index == dispatch_round
-                    else discounted_update(
-                        update, decay if decay > 0.0 else 1.0, round_index - dispatch_round
-                    )
-                    for dispatch_round, update in self._async_buffer
-                ]
-                stale_ids = sorted(
-                    update.client_id
-                    for dispatch_round, update in self._async_buffer
-                    if round_index > dispatch_round
-                )
-                if stale_ids:
-                    self.stale_log.append((round_index, stale_ids))
-                self._async_buffer = []
-                train_loss = strategy.aggregate(self, round_index, folded)
-                self.n_aggregation_events += 1
-                self.n_updates_absorbed += len(folded)
-
-            evaluated = round_index == last_round or round_index % eval_every == 0
-            if evaluated:
-                mean_acc, per_client = strategy.evaluate(self, round_index)
-            self._next_round = round_index + 1
-            self._last_eval = (mean_acc, per_client)
-            history.append(
-                RoundRecord(
-                    round_index=round_index,
-                    mean_train_loss=train_loss,
-                    mean_local_accuracy=mean_acc if evaluated else float("nan"),
-                    n_participants=len(participants),
-                    n_clusters=strategy.current_n_clusters(),
-                    uploaded_params=env.tracker.total_uploaded,
-                    downloaded_params=env.tracker.total_downloaded,
-                    wall_seconds=time.perf_counter() - t0,
-                    n_stale=len(stale_ids),
-                    n_departed=int(departed.size),
-                    n_buffered=len(self._async_buffer),
-                    n_quarantined=self._quarantined_this_round,
-                    aggregation_event=aggregation_event,
-                    evaluated=evaluated,
-                )
-            )
-            strategy.on_round_end(
-                self,
-                RoundOutcome(
-                    round_index=round_index,
-                    participants=participants,
-                    survivors=folded,
-                    failed=np.array(failed_ids, dtype=np.int64),
-                    stragglers=np.empty(0, dtype=np.int64),
-                    arrived=arrived,
-                    train_loss=train_loss,
-                    evaluated=evaluated,
-                    mean_accuracy=mean_acc,
-                    stale=np.array(stale_ids, dtype=np.int64),
-                    departed=departed,
-                ),
-            )
-            self._maybe_checkpoint(round_index, last_round)
-        return mean_acc, per_client
+            # A client is never in flight twice, so rejected ids map
+            # back unambiguously.
+            _, rejected = self._admit([update for _, update in due], round_index)
+            if rejected:
+                gone = {cid for cid, _ in rejected}
+                due = [entry for entry in due if entry[1].client_id not in gone]
+            self._bank(due)
+        if len(self._buffer) >= cfg.buffer_size or (
+            round_index == last_round and self._buffer
+        ):
+            return self._drain(round_index, [], list(self._buffer))
+        return None
 
     # ------------------------------------------------------------------
     # Checkpoint / resume
@@ -1518,10 +1403,10 @@ class RoundEngine:
 
         Serialised: the strategy's server rows (at wire dtype, via its
         :meth:`RoundStrategy.checkpoint_payload` hook), the round
-        counter, every middleware log, the communication tracker's
-        per-phase counters, the history records, the last evaluation,
-        and all three update buffers (stale, async in-flight, async
-        aggregation) — buffered update *rows* at float64, because a
+        counter, the event log, the communication tracker's per-phase
+        counters, the history records, the last evaluation, and both
+        update sections (the aggregation buffer and the async in-flight
+        ledger) — buffered update *rows* at float64, because a
         corrupted row awaiting admission need not survive a wire-dtype
         round-trip.  The rng "state" is just the seed and the round
         counter: every stream is stateless in (seed, tag, round,
@@ -1553,38 +1438,32 @@ class RoundEngine:
             f"strategy/{name}": array for name, array in strategy_arrays.items()
         }
 
-        def buffer_rows(rows: list[np.ndarray]) -> np.ndarray:
-            if rows:
-                return np.stack(rows)
-            return np.empty((0, env.n_params), dtype=np.float64)
+        def section(
+            entries: Iterable[tuple[dict, ClientUpdate]],
+        ) -> tuple[list[dict], np.ndarray]:
+            metas, rows = [], []
+            for extra, update in entries:
+                metas.append({**update_to_meta(update), **extra})
+                rows.append(update_row(update, layout))
+            if not rows:
+                return metas, np.empty((0, env.n_params), dtype=np.float64)
+            return metas, np.stack(rows)
 
-        stale_meta: list[dict] = []
-        stale_rows: list[np.ndarray] = []
-        for cid in sorted(self._stale_buffer):
-            produced, update = self._stale_buffer[cid]
-            entry = update_to_meta(update)
-            entry["produced_round"] = int(produced)
-            stale_meta.append(entry)
-            stale_rows.append(update_row(update, layout))
-        flight_meta: list[dict] = []
-        flight_rows: list[np.ndarray] = []
-        for done, seq, dispatch_round, update in self._in_flight.snapshot():
-            entry = update_to_meta(update)
-            entry.update(
-                done=int(done), seq=int(seq), dispatch_round=int(dispatch_round)
+        buffer_meta, arrays["buffer_rows"] = section(
+            ({"round": int(produced)}, update)
+            for produced, update in self._buffer.values()
+        )
+        flight_meta, arrays["in_flight_rows"] = section(
+            (
+                {
+                    "done": int(done),
+                    "seq": int(seq),
+                    "dispatch_round": int(dispatch_round),
+                },
+                update,
             )
-            flight_meta.append(entry)
-            flight_rows.append(update_row(update, layout))
-        async_meta: list[dict] = []
-        async_rows: list[np.ndarray] = []
-        for dispatch_round, update in self._async_buffer:
-            entry = update_to_meta(update)
-            entry["dispatch_round"] = int(dispatch_round)
-            async_meta.append(entry)
-            async_rows.append(update_row(update, layout))
-        arrays["stale_rows"] = buffer_rows(stale_rows)
-        arrays["in_flight_rows"] = buffer_rows(flight_rows)
-        arrays["async_rows"] = buffer_rows(async_rows)
+            for done, seq, dispatch_round, update in self._in_flight.snapshot()
+        )
         mean_acc, per_client = self._last_eval
         arrays["per_client_accuracy"] = np.asarray(per_client, dtype=np.float64)
 
@@ -1596,23 +1475,7 @@ class RoundEngine:
             "next_round": int(self._next_round),
             "mean_accuracy": float(mean_acc),
             "strategy_meta": meta,
-            "logs": {
-                "drop": [[r, list(ids)] for r, ids in self.drop_log],
-                "straggler": [[r, list(ids)] for r, ids in self.straggler_log],
-                "stale": [[r, list(ids)] for r, ids in self.stale_log],
-                "departure": [[r, list(ids)] for r, ids in self.departure_log],
-                "participation": [
-                    [r, list(ids)] for r, ids in self.participation_log
-                ],
-                "quarantine": [
-                    [r, [[cid, reason] for cid, reason in entries]]
-                    for r, entries in self.quarantine_log
-                ],
-            },
-            "counters": {
-                "n_aggregation_events": int(self.n_aggregation_events),
-                "n_updates_absorbed": int(self.n_updates_absorbed),
-            },
+            "events": [list(event) for event in self.events],
             "traffic": {
                 "uploads": {k: int(v) for k, v in env.tracker.uploads.items()},
                 "downloads": {
@@ -1625,10 +1488,9 @@ class RoundEngine:
                 "seed": int(history.seed),
                 "records": [asdict(record) for record in history.records],
             },
-            "stale": stale_meta,
+            "buffer": buffer_meta,
             "in_flight": flight_meta,
             "in_flight_seq": int(self._in_flight.next_seq),
-            "async": async_meta,
         }
         return save_checkpoint(path, header, arrays)
 
@@ -1643,7 +1505,7 @@ class RoundEngine:
         Validates that the file belongs to this run (seed, strategy
         name, federation size, parameter count — a mismatch raises
         :class:`repro.fl.defense.CheckpointError` quoting expected vs
-        found), then restores the strategy state, engine logs and
+        found), then restores the strategy state, event log, update
         buffers, tracker counters and history records **in place** and
         returns ``(next round, last mean accuracy, last per-client
         accuracies)``.  ``history.records`` is replaced wholesale, so a
@@ -1675,23 +1537,10 @@ class RoundEngine:
                 if name.startswith("strategy/")
             },
         )
-        logs = header["logs"]
-
-        def id_log(entries: list) -> list[tuple[int, list[int]]]:
-            return [(int(r), [int(c) for c in ids]) for r, ids in entries]
-
-        self.drop_log[:] = id_log(logs["drop"])
-        self.straggler_log[:] = id_log(logs["straggler"])
-        self.stale_log[:] = id_log(logs["stale"])
-        self.departure_log[:] = id_log(logs["departure"])
-        self.participation_log[:] = id_log(logs["participation"])
-        self.quarantine_log[:] = [
-            (int(r), [(int(cid), str(reason)) for cid, reason in entries])
-            for r, entries in logs["quarantine"]
+        self.events[:] = [
+            Event(int(r), str(kind), int(cid), str(reason))
+            for r, kind, cid, reason in header["events"]
         ]
-        counters = header["counters"]
-        self.n_aggregation_events = int(counters["n_aggregation_events"])
-        self.n_updates_absorbed = int(counters["n_updates_absorbed"])
         tracker = env.tracker
         tracker.uploads.clear()
         for phase, count in header["traffic"]["uploads"].items():
@@ -1703,12 +1552,13 @@ class RoundEngine:
             RoundRecord(**record) for record in header["history"]["records"]
         ]
         layout = env.layout
-        self._stale_buffer.clear()
-        for entry, row in zip(header["stale"], arrays["stale_rows"]):
-            self._stale_buffer[int(entry["client_id"])] = (
-                int(entry["produced_round"]),
+        self._buffer = {
+            int(entry["client_id"]): (
+                int(entry["round"]),
                 rebuild_update(entry, row, layout),
             )
+            for entry, row in zip(header["buffer"], arrays["buffer_rows"])
+        }
         self._in_flight.restore(
             [
                 (
@@ -1723,10 +1573,6 @@ class RoundEngine:
             ],
             int(header["in_flight_seq"]),
         )
-        self._async_buffer[:] = [
-            (int(entry["dispatch_round"]), rebuild_update(entry, row, layout))
-            for entry, row in zip(header["async"], arrays["async_rows"])
-        ]
         mean_acc = float(header["mean_accuracy"])
         per_client = arrays["per_client_accuracy"].astype(np.float64)
         self._next_round = int(header["next_round"])
@@ -1734,69 +1580,65 @@ class RoundEngine:
         return self._next_round, mean_acc, per_client
 
     # ------------------------------------------------------------------
-    # Realized-schedule capture
+    # Views of the event log
     # ------------------------------------------------------------------
     def realized_trace(self) -> AvailabilityTrace:
         """The schedule this engine actually executed, as a trace.
 
         Per client, the rounds in which it *delivered on time*:
-        dispatched (participation log) minus seeded failures and
-        deadline misses (drop/straggler logs).  Every client of the
-        federation is listed — including never-dispatched ones with an
-        empty round set — so replaying the trace through a fresh
-        ``ScenarioConfig(trace=..., client_fraction=1.0)`` reproduces
-        exactly the original survivor cohorts without re-rolling any
-        failure/straggler/sampling dice.  (Replay equivalence covers
-        the aggregation stream; scenarios that *fold* straggler work
-        late — ``staleness_decay > 0`` — deliver extra stale updates
-        the trace deliberately does not re-create.)
+        ``"dispatch"`` events minus the seeded failures and deadline
+        misses of the same round (``"drop"``/``"straggler"`` events).
+        Every client of the federation is listed — including
+        never-dispatched ones with an empty round set — so replaying the
+        trace through a fresh ``ScenarioConfig(trace=...,
+        client_fraction=1.0)`` reproduces exactly the original survivor
+        cohorts without re-rolling any failure/straggler/sampling dice.
+        (Replay equivalence covers the aggregation stream; scenarios
+        that *fold* straggler work late — ``staleness_decay > 0`` —
+        deliver extra stale updates the trace deliberately does not
+        re-create.)
         """
         m = self.env.federation.n_clients
+        missed = {
+            (event.round, event.client)
+            for event in self.events
+            if event.kind in ("drop", "straggler")
+        }
         rounds: dict[int, set[int]] = {cid: set() for cid in range(m)}
-        for round_index, ids in self.participation_log:
-            for cid in ids:
-                rounds[cid].add(round_index)
-        for log in (self.drop_log, self.straggler_log):
-            for round_index, ids in log:
-                for cid in ids:
-                    rounds.get(cid, set()).discard(round_index)
+        for event in self.events:
+            if event.kind == "dispatch" and (event.round, event.client) not in missed:
+                rounds[event.client].add(event.round)
         return AvailabilityTrace(rounds)
 
-    # ------------------------------------------------------------------
-    # Run-record export
-    # ------------------------------------------------------------------
     def run_record(self) -> dict:
         """Versioned JSON-ready summary of the engine's scenario counters.
 
         The export hook the ablation harness
-        (:mod:`repro.experiments.ablation`) records per run: total events
-        per middleware log (the logs themselves stay on the engine for
+        (:mod:`repro.experiments.ablation`) records per run: the count
+        of each event kind (the events themselves stay on the engine for
         callers that need the per-round detail), the quarantine reasons
-        broken out by code, async throughput counters, and the traffic
-        totals.  Algorithms attach it to ``RunResult.extras
-        ["engine_record"]`` so every run — regardless of strategy —
-        reports the same counter schema.
+        broken out by code, and the traffic totals.  Algorithms attach
+        it to ``RunResult.extras["engine_record"]`` so every run —
+        regardless of strategy or scheduling mode — reports the same
+        counter schema.
         """
+        counts = Counter(event.kind for event in self.events)
         reasons: dict[str, int] = {}
-        for _, entries in self.quarantine_log:
-            for _, reason in entries:
-                reasons[reason] = reasons.get(reason, 0) + 1
+        for event in self.events:
+            if event.kind == "quarantine":
+                reasons[event.reason] = reasons.get(event.reason, 0) + 1
         return {
             "schema": 1,
             "async": self.is_async,
-            "n_dispatched": sum(
-                len(ids) for _, ids in self.participation_log
-            ),
-            "n_dropped": sum(len(ids) for _, ids in self.drop_log),
-            "n_stragglers": sum(len(ids) for _, ids in self.straggler_log),
-            "n_stale_folded": sum(len(ids) for _, ids in self.stale_log),
-            "n_departed": sum(len(ids) for _, ids in self.departure_log),
-            "n_quarantined": sum(
-                len(entries) for _, entries in self.quarantine_log
-            ),
+            "n_dispatched": counts["dispatch"],
+            "n_dropped": counts["drop"],
+            "n_stragglers": counts["straggler"],
+            "n_stale_folded": counts["stale"],
+            "n_departed": counts["depart"],
+            "n_quarantined": counts["quarantine"],
             "quarantine_reasons": reasons,
-            "n_aggregation_events": int(self.n_aggregation_events),
-            "n_updates_absorbed": int(self.n_updates_absorbed),
+            "n_aggregation_events": counts["aggregate"],
+            "n_updates_absorbed": counts["absorb"],
             "uploaded_params": int(self.env.tracker.total_uploaded),
             "downloaded_params": int(self.env.tracker.total_downloaded),
         }

@@ -104,3 +104,37 @@ def to_float64(module: Module) -> Module:
         param.data = param.data.astype(np.float64)
         param.grad = np.zeros_like(param.data)
     return module
+
+
+def by_round(events, kind: str) -> list[tuple[int, list]]:
+    """One kind of an engine event log, grouped into ``(round, [...])``.
+
+    Consecutive ``kind`` events of the same round form one group, in log
+    order; items are client ids, or ``(client id, reason)`` pairs for
+    ``"quarantine"`` events.  The view the round engine's tests assert
+    on (``[(2, [0]), (3, [4])]`` — client 0 departed in round 2, ...).
+    """
+    grouped: list[tuple[int, list]] = []
+    for event in events:
+        if event.kind != kind:
+            continue
+        item = (event.client, event.reason) if kind == "quarantine" else event.client
+        if grouped and grouped[-1][0] == event.round:
+            grouped[-1][1].append(item)
+        else:
+            grouped.append((event.round, [item]))
+    return grouped
+
+
+def counts_by_round(events) -> dict[int, dict[str, int]]:
+    """Event counts per kind, keyed by the round that logged them.
+
+    Retry epochs (``round + 1_000_000 × attempt``) count toward their
+    base round, as the round's :class:`repro.fl.history.RoundRecord`
+    does.
+    """
+    counts: dict[int, dict[str, int]] = {}
+    for event in events:
+        kinds = counts.setdefault(event.round % 1_000_000, {})
+        kinds[event.kind] = kinds.get(event.kind, 0) + 1
+    return counts

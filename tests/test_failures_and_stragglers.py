@@ -1,9 +1,8 @@
 """Failure injection and FedClust's straggler tolerance.
 
-Failure policy lives in the round engine now
-(``ScenarioConfig(failure_rate=...)``); the deprecated
-:class:`FaultyExecutor` shim draws the same seeded stream, so both
-paths drop the same clients — a handful of shim tests pin that.
+Failure policy lives in the round engine
+(``ScenarioConfig(failure_rate=...)``); the drop-stream semantics are
+pinned in ``tests/test_fl_rounds.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +13,6 @@ import pytest
 from repro.algorithms.fedavg import FedAvg
 from repro.cluster.metrics import adjusted_rand_index
 from repro.core.fedclust import FedClust, FedClustConfig
-from repro.fl.failures import FaultyExecutor
-from repro.fl.parallel import UpdateTask
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
 
@@ -36,69 +33,7 @@ def _engine(env, failure_rate):
     return RoundEngine(env, ScenarioConfig(failure_rate=failure_rate))
 
 
-def _faulty(rate, inner=None):
-    with pytest.warns(DeprecationWarning, match="ScenarioConfig"):
-        return FaultyExecutor(rate, inner)
-
-
-class TestFaultyExecutorShim:
-    def test_drops_deterministically(self, planted_federation, fast_train_cfg):
-        env = _env(planted_federation, fast_train_cfg)
-        executor = _faulty(0.5)
-        tasks = [
-            UpdateTask(cid, env.init_state())
-            for cid in range(planted_federation.n_clients)
-        ]
-        first = [u.client_id for u in executor.run(env, tasks, 1)]
-        second = [u.client_id for u in executor.run(env, tasks, 1)]
-        assert first == second  # same round → same survivors
-        assert len(first) < planted_federation.n_clients
-
-    def test_matches_engine_failure_stream(self, planted_federation, fast_train_cfg):
-        """Shim and scenario middleware share the drop stream, so a
-        legacy wrapped run and a ScenarioConfig run lose the same
-        clients in the same rounds."""
-        env = _env(planted_federation, fast_train_cfg)
-        executor = _faulty(0.5)
-        engine = _engine(env, 0.5)
-        tasks = [
-            UpdateTask(cid, env.init_state())
-            for cid in range(planted_federation.n_clients)
-        ]
-        for round_index in (1, 2, 5):
-            shim_alive = [
-                t.client_id for t in executor.survivors(env, tasks, round_index)
-            ]
-            engine_alive, _ = engine._apply_failures(tasks, round_index)
-            assert [t.client_id for t in engine_alive] == shim_alive
-
-    def test_failure_rate_zero_is_transparent(self, planted_federation, fast_train_cfg):
-        env = _env(planted_federation, fast_train_cfg)
-        executor = _faulty(0.0)
-        tasks = [
-            UpdateTask(cid, env.init_state())
-            for cid in range(planted_federation.n_clients)
-        ]
-        got = executor.run(env, tasks, 1)
-        assert len(got) == planted_federation.n_clients
-
-    def test_someone_always_survives(self, planted_federation, fast_train_cfg):
-        env = _env(planted_federation, fast_train_cfg)
-        executor = _faulty(0.95)
-        tasks = [
-            UpdateTask(cid, env.init_state())
-            for cid in range(planted_federation.n_clients)
-        ]
-        for round_index in range(1, 8):
-            got = executor.run(env, tasks, round_index)
-            assert len(got) >= 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FaultyExecutor(1.0)
-        with pytest.raises(ValueError):
-            FaultyExecutor(-0.1)
-
+class TestFailureScenario:
     @pytest.mark.slow
     def test_fedavg_survives_failures(self, planted_federation, fast_train_cfg):
         env = _env(planted_federation, fast_train_cfg)
@@ -109,7 +44,8 @@ class TestFaultyExecutorShim:
             scenario=ScenarioConfig(failure_rate=0.3),
         )
         assert result.final_accuracy > 0.2
-        assert result.extras["drop_log"]  # failures actually happened
+        # Failures actually happened.
+        assert any(event.kind == "drop" for event in result.extras["events"])
 
 
 @pytest.mark.slow

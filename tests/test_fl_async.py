@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import by_round
 
 from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
@@ -162,8 +163,13 @@ class TestSyncEquivalence:
             assert a.round_index == b.round_index
             assert a.mean_train_loss == pytest.approx(b.mean_train_loss, nan_ok=True)
             assert a.n_participants == b.n_participants
+            assert a.aggregation_event == b.aggregation_event
             assert b.aggregation_event  # buffer fills every round
             assert b.n_buffered == 0  # ... and drains every round
+        # Same counters from both schedules, aggregation counts included
+        # (only the mode flag differs).
+        sync_record = dict(sync.extras["engine_record"], **{"async": True})
+        assert sync_record == asynchronous.extras["engine_record"]
 
     def test_sampled_sync_draws_are_untouched_by_exclusion_plumbing(
         self, env_factory
@@ -349,10 +355,11 @@ class TestBufferSemantics:
         history = RunHistory("fedavg", "cifar10", env.seed)
         engine.run(strategy, 5, history)
         events = [r for r in history.records if r.aggregation_event]
-        assert engine.n_aggregation_events == len(events)
+        record = engine.run_record()
+        assert record["n_aggregation_events"] == len(events)
         # Every absorbed update was dispatched exactly once.
-        dispatched = sum(len(ids) for _, ids in engine.participation_log)
-        assert engine.n_updates_absorbed <= dispatched
+        dispatched = sum(len(ids) for _, ids in by_round(engine.events, "dispatch"))
+        assert record["n_updates_absorbed"] <= dispatched
         assert history.to_dict()["n_aggregation_events"] == len(events)
 
 
@@ -371,7 +378,7 @@ class TestConcurrencyCap:
         )
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
         engine.run(strategy, 3, RunHistory("fedavg", "cifar10", env.seed))
-        assert engine.participation_log == [
+        assert by_round(engine.events, "dispatch") == [
             (1, [0, 1, 2]),
             (2, [0, 1, 2]),
             (3, [0, 1, 2]),
@@ -391,10 +398,10 @@ class TestConcurrencyCap:
         )
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
         engine.run(strategy, 4, RunHistory("fedavg", "cifar10", env.seed))
-        by_round = dict(engine.participation_log)
-        assert by_round[1] == [0, 1, 2, 3, 4]
-        assert 2 not in by_round  # all five slots occupied mid-training
-        assert by_round[3] == [0, 1, 2, 3, 4]
+        dispatched = dict(by_round(engine.events, "dispatch"))
+        assert dispatched[1] == [0, 1, 2, 3, 4]
+        assert 2 not in dispatched  # all five slots occupied mid-training
+        assert dispatched[3] == [0, 1, 2, 3, 4]
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ partial reads, no version coercion.
 The engine contract: a run checkpointed at round ``t`` and resumed by a
 *fresh* engine (fresh env, fresh strategy seeded from scratch) reproduces
 the uninterrupted run bit-for-bit — server vector, accuracies, traffic
-counters, every log, every history field except wall-clock.
+counters, the event log, every history field except wall-clock.
 """
 
 from __future__ import annotations
@@ -245,12 +245,7 @@ def _history_rows(history: RunHistory):
 
 
 def _assert_engines_match(a: RoundEngine, b: RoundEngine):
-    assert a.drop_log == b.drop_log
-    assert a.straggler_log == b.straggler_log
-    assert a.stale_log == b.stale_log
-    assert a.departure_log == b.departure_log
-    assert a.quarantine_log == b.quarantine_log
-    assert a.participation_log == b.participation_log
+    assert a.events == b.events
     assert a.env.tracker.uploads == b.env.tracker.uploads
     assert a.env.tracker.downloads == b.env.tracker.downloads
 

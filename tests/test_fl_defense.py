@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from helpers import by_round
 
 from repro.algorithms.base import GlobalModelRounds, survivor_mean_loss
 from repro.algorithms.registry import make_algorithm
@@ -218,11 +219,12 @@ class TestMaybeCorrupt:
             results["serial"].per_client_accuracy,
             results["batched"].per_client_accuracy,
         )
-        assert (
-            results["serial"].extras["quarantine_log"]
-            == results["batched"].extras["quarantine_log"]
-        )
-        assert results["serial"].extras["quarantine_log"]
+        quarantined = {
+            executor: by_round(result.extras["events"], "quarantine")
+            for executor, result in results.items()
+        }
+        assert quarantined["serial"] == quarantined["batched"]
+        assert quarantined["serial"]
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +298,7 @@ class TestAdmission:
         assert env.tracker.total_uploaded == 2 * m * env.n_params
         assert all(
             reason == QUARANTINE_NON_FINITE
-            for _, entries in result.extras["quarantine_log"]
+            for _, entries in by_round(result.extras["events"], "quarantine")
             for _, reason in entries
         )
         assert [r.n_quarantined for r in result.history.records] == [m, m]
@@ -480,8 +482,8 @@ class TestQuorum:
         assert not any(r.quorum_failed for r in result.history.records)
         assert all(np.isfinite(r.mean_train_loss) for r in result.history.records)
         # Retries logged their drops under derived epochs (> 1_000_000).
-        drop_log = result.extras["drop_log"]
-        assert any(r >= 1_000_000 for r, _ in drop_log)
+        drops = by_round(result.extras["events"], "drop")
+        assert any(r >= 1_000_000 for r, _ in drops)
 
     def test_below_quorum_degrades_gracefully(self, env_factory):
         # Rate-1 NaN corruption defeats every retry: admission rejects
@@ -501,6 +503,7 @@ class TestQuorum:
         mean_acc, per_client = engine.run(strategy, 2, history)
         env.close()
         assert all(r.quorum_failed for r in history.records)
+        assert all(r.aggregation_event is False for r in history.records)
         assert all(np.isnan(r.mean_train_loss) for r in history.records)
         np.testing.assert_array_equal(strategy.vector, before)
         # Evaluation still ran against the frozen (finite) state.
@@ -508,7 +511,9 @@ class TestQuorum:
         assert history.to_dict()["quorum_failed_rounds"] == [1, 2]
         # Retries rolled fresh corruption dice: quarantine entries exist
         # under the derived retry epochs too.
-        assert any(r >= 1_000_000 for r, _ in engine.quarantine_log)
+        assert any(
+            r >= 1_000_000 for r, _ in by_round(engine.events, "quarantine")
+        )
 
     def test_quorum_failure_banks_late_work_for_the_future(self, env_factory):
         env = env_factory()
@@ -548,7 +553,7 @@ class TestQuorum:
         assert not pending
         assert sorted(collected) == list(range(8))
         # Attempt epochs: original at 3, retries at 3 + 1e6 * a.
-        rounds_seen = {r for r, _ in engine.drop_log}
+        rounds_seen = {r for r, _ in by_round(engine.events, "drop")}
         assert all((r - 3) % 1_000_000 == 0 for r in rounds_seen)
 
 
@@ -611,9 +616,10 @@ class TestCorruptionAcceptance:
         env.close()
         assert np.isfinite(strategy.vector).all()
         assert np.isfinite(mean_acc)
-        assert engine.quarantine_log
+        quarantined = by_round(engine.events, "quarantine")
+        assert quarantined
         assert sum(r.n_quarantined for r in history.records) == sum(
-            len(entries) for _, entries in engine.quarantine_log
+            len(entries) for _, entries in quarantined
         )
 
 
@@ -659,8 +665,10 @@ class TestCorruptionQuorumResumeSmoke:
         assert acc2 == mean_acc
         np.testing.assert_array_equal(per2, per_client)
         np.testing.assert_array_equal(resumed.vector, strategy.vector)
-        assert engine2.quarantine_log == engine.quarantine_log
-        assert engine2.drop_log == engine.drop_log
+        assert by_round(engine2.events, "quarantine") == by_round(
+            engine.events, "quarantine"
+        )
+        assert by_round(engine2.events, "drop") == by_round(engine.events, "drop")
         assert [
             (r.round_index, r.mean_train_loss, r.n_quarantined, r.quorum_failed)
             for r in history2.records

@@ -19,17 +19,25 @@ Three contracts:
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
+from helpers import by_round, counts_by_round
 
 from repro.algorithms.base import GlobalModelRounds
 from repro.algorithms.registry import make_algorithm
 from repro.data.federation import build_federation
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.config import TrainConfig
-from repro.fl.defense import CheckpointConfig
+from repro.fl.defense import CheckpointConfig, CorruptionConfig
 from repro.fl.parallel import UpdateTask
-from repro.fl.rounds import RoundEngine, ScenarioConfig, aggregation_weights
+from repro.fl.rounds import (
+    AsyncConfig,
+    RoundEngine,
+    ScenarioConfig,
+    aggregation_weights,
+)
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import StoreConfig
 from repro.fl.history import RoundRecord, RunHistory
@@ -56,6 +64,19 @@ _KWARGS = {
     "fedclust": {"warmup_steps": 10, "warmup_lr": 0.01},
     "local_only": {},
 }
+
+
+def _spy_aggregate(strategy) -> dict:
+    """Wrap ``strategy.aggregate`` to record each round's input list."""
+    aggregated = {}
+    original = strategy.aggregate
+
+    def spy(engine, round_index, survivors):
+        aggregated[round_index] = list(survivors)
+        return original(engine, round_index, survivors)
+
+    strategy.aggregate = spy
+    return aggregated
 
 
 @pytest.fixture(scope="module")
@@ -184,7 +205,7 @@ class TestDispatchMiddleware:
         # Failed clients consumed the broadcast but never uploaded.
         assert env.tracker.total_downloaded == m * env.n_params
         assert env.tracker.total_uploaded == len(out.survivors) * env.n_params
-        assert engine.drop_log == [(1, out.failed.tolist())]
+        assert by_round(engine.events, "drop") == [(1, out.failed.tolist())]
 
     def test_stragglers_charge_both_but_miss_aggregation(self, env_factory):
         env = env_factory(local_epochs=1)
@@ -196,7 +217,9 @@ class TestDispatchMiddleware:
         # Stragglers trained and uploaded — they just missed the deadline.
         assert env.tracker.total_downloaded == m * env.n_params
         assert env.tracker.total_uploaded == m * env.n_params
-        assert engine.straggler_log == [(1, out.stragglers.tolist())]
+        assert by_round(engine.events, "straggler") == [
+            (1, out.stragglers.tolist())
+        ]
 
     def test_same_round_same_drops(self, env_factory):
         env = env_factory(local_epochs=1)
@@ -219,22 +242,15 @@ class TestDispatchMiddleware:
             assert len(out.survivors) >= 1
 
     def test_failure_stream_matches_legacy_faulty_executor(self, env_factory):
-        """The scenario middleware draws the exact (seed, 13, round,
-        client) stream the deprecated FaultyExecutor used, so historical
-        faulty runs reproduce under ScenarioConfig."""
-        from repro.fl.failures import FaultyExecutor
-
+        """The failure middleware draws the (seed, 13, round, client)
+        stream historical faulty runs used: a literal pin of the drop
+        set at failure_rate 0.5, round 3, seed 2."""
         env = env_factory(local_epochs=1)
-        with pytest.warns(DeprecationWarning):
-            legacy = FaultyExecutor(0.5)
         tasks = self._tasks(env)
-        legacy_alive = [t.client_id for t in legacy.survivors(env, tasks, 3)]
         engine = RoundEngine(env, ScenarioConfig(failure_rate=0.5))
         alive, failed = engine._apply_failures(tasks, 3)
-        assert [t.client_id for t in alive] == legacy_alive
-        assert sorted(failed) == sorted(
-            set(range(len(tasks))) - set(legacy_alive)
-        )
+        assert [t.client_id for t in alive] == [2, 4, 6]
+        assert failed == [0, 1, 3, 5, 7]
 
     def test_survivor_renormalisation(self, env_factory):
         """With stragglers dropped, the global average is renormalised
@@ -246,10 +262,9 @@ class TestDispatchMiddleware:
         engine = RoundEngine(env, ScenarioConfig(straggler_rate=0.5))
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
         history = RunHistory("test", "x", 0)
-        outcomes = []
-        strategy.on_round_end = lambda eng, out: outcomes.append(out)
+        aggregated = _spy_aggregate(strategy)
         engine.run(strategy, 1, history)
-        survivors = outcomes[0].survivors
+        survivors = aggregated[1]
         assert 1 <= len(survivors) < env.federation.n_clients
         expected = env.layout.round_trip(
             packed_weighted_average(
@@ -322,9 +337,7 @@ class TestScenarioMatrix:
             serial.per_client_accuracy, other.per_client_accuracy
         )
         assert serial.final_accuracy == other.final_accuracy
-        assert serial.extras["drop_log"] == other.extras["drop_log"]
-        assert serial.extras["straggler_log"] == other.extras["straggler_log"]
-        assert serial.extras["stale_log"] == other.extras["stale_log"]
+        assert serial.extras["events"] == other.extras["events"]
 
     @pytest.mark.parametrize(
         "algorithm", ["fedprox", "cfl", "ifca", "pacfl", "fedclust", "local_only"]
@@ -420,7 +433,7 @@ class TestDeparturesAndTraces:
         )
         assert [r.n_participants for r in result.history.records] == [8, 7, 6]
         assert [r.n_departed for r in result.history.records] == [0, 1, 1]
-        assert result.extras["departure_log"] == [(2, [0]), (3, [4])]
+        assert by_round(result.extras["events"], "depart") == [(2, [0]), (3, [4])]
         # Departed clients keep their Table-I evaluation entry.
         assert result.per_client_accuracy.shape == (8,)
         assert not np.isnan(result.per_client_accuracy).any()
@@ -497,10 +510,9 @@ class TestStaleUpdates:
     def _run_with_outcomes(self, env, scenario, n_rounds=3):
         engine = RoundEngine(env, scenario)
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
-        outcomes = []
-        strategy.on_round_end = lambda eng, out: outcomes.append(out)
+        aggregated = _spy_aggregate(strategy)
         engine.run(strategy, n_rounds, RunHistory("test", "x", 0))
-        return engine, strategy, outcomes
+        return engine, strategy, aggregated
 
     def test_stale_update_folds_next_round_with_discount(self, env_factory):
         env = env_factory(local_epochs=1)
@@ -508,21 +520,23 @@ class TestStaleUpdates:
         scenario = ScenarioConfig(
             client_fraction=0.5, straggler_rate=0.5, staleness_decay=decay
         )
-        engine, strategy, outcomes = self._run_with_outcomes(
+        engine, strategy, aggregated = self._run_with_outcomes(
             env, scenario, n_rounds=4
         )
-        folded = [set(out.stale.tolist()) for out in outcomes]
-        assert any(folded), "seeded scenario should fold at least one update"
-        for prev, out in zip(outcomes, outcomes[1:]):
+        stale = dict(by_round(engine.events, "stale"))
+        stragglers = dict(by_round(engine.events, "straggler"))
+        assert stale, "seeded scenario should fold at least one update"
+        for round_index in range(2, 5):
+            folded = set(stale.get(round_index, []))
             fresh = {
-                u.client_id for u in out.survivors if u.weight is None
+                u.client_id for u in aggregated[round_index] if u.weight is None
             }
             # Every fold is a previous-round straggler that did not
             # deliver fresh work this round.
-            assert set(out.stale.tolist()) <= set(prev.stragglers.tolist())
-            assert not set(out.stale.tolist()) & fresh
-            for update in out.survivors:
-                if update.client_id in set(out.stale.tolist()):
+            assert folded <= set(stragglers.get(round_index - 1, []))
+            assert not folded & fresh
+            for update in aggregated[round_index]:
+                if update.client_id in folded:
                     assert update.weight == update.n_samples * decay
 
     def test_aggregation_renormalises_over_survivors_plus_stale(self, env_factory):
@@ -548,7 +562,7 @@ class TestStaleUpdates:
 
         strategy.aggregate = spy
         engine.run(strategy, 4, RunHistory("test", "x", 0))
-        stale_rounds = {r for r, _ in engine.stale_log}
+        stale_rounds = {r for r, _ in by_round(engine.events, "stale")}
         assert stale_rounds, "seeded scenario should fold at least once"
         round_index = max(stale_rounds)
         survivors = next(s for r, s in captured if r == round_index)
@@ -560,9 +574,14 @@ class TestStaleUpdates:
         engine2 = RoundEngine(env, scenario)
         strategy2 = GlobalModelRounds(env.layout.pack(env.init_state()))
         states = {}
-        strategy2.on_round_end = lambda eng, out: states.__setitem__(
-            out.round_index, strategy2.vector.copy()
-        )
+        original_aggregate2 = strategy2.aggregate
+
+        def snapshot(eng, round_index, survivors):
+            loss = original_aggregate2(eng, round_index, survivors)
+            states[round_index] = strategy2.vector.copy()
+            return loss
+
+        strategy2.aggregate = snapshot
         engine2.run(strategy2, 4, RunHistory("test", "x", 0))
         np.testing.assert_array_equal(states[round_index], expected_last)
 
@@ -572,10 +591,10 @@ class TestStaleUpdates:
         updates from one client."""
         env = env_factory(local_epochs=1)
         scenario = ScenarioConfig(straggler_rate=0.4, staleness_decay=0.5)
-        engine, _, outcomes = self._run_with_outcomes(env, scenario)
-        assert engine.stale_log == []
-        for out in outcomes:
-            ids = [u.client_id for u in out.survivors]
+        engine, _, aggregated = self._run_with_outcomes(env, scenario)
+        assert by_round(engine.events, "stale") == []
+        for survivors in aggregated.values():
+            ids = [u.client_id for u in survivors]
             assert len(ids) == len(set(ids))
 
     def test_zero_decay_discards_like_pr4(self, env_factory):
@@ -597,7 +616,93 @@ class TestStaleUpdates:
         np.testing.assert_array_equal(
             base.per_client_accuracy, same.per_client_accuracy
         )
-        assert base.extras["stale_log"] == same.extras["stale_log"] == []
+        assert by_round(base.extras["events"], "stale") == []
+        assert by_round(same.extras["events"], "stale") == []
+
+
+# ----------------------------------------------------------------------
+# The event log is the single source of every counter
+# ----------------------------------------------------------------------
+_COUNTED_CELLS = {
+    # Failures, stragglers folded stale, quorum retries, corruption and
+    # a departure, all in one synchronous run.
+    "sync": ScenarioConfig(
+        client_fraction=0.5,
+        failure_rate=0.3,
+        straggler_rate=0.3,
+        staleness_decay=0.5,
+        corruption=CorruptionConfig(rate=0.3, kinds=("nan",)),
+        min_survivors=2,
+        max_retries=2,
+        departures={7: 3},
+    ),
+    "async": ScenarioConfig(
+        client_fraction=0.75,
+        failure_rate=0.2,
+        staleness_decay=0.5,
+        corruption=CorruptionConfig(rate=0.3, kinds=("nan",)),
+        departures={7: 3},
+        async_config=AsyncConfig(buffer_size=3, duration_range=(1, 3)),
+    ),
+}
+
+#: run_record() counter → the event kind it counts.
+_RECORD_KINDS = {
+    "n_dispatched": "dispatch",
+    "n_dropped": "drop",
+    "n_stragglers": "straggler",
+    "n_stale_folded": "stale",
+    "n_departed": "depart",
+    "n_quarantined": "quarantine",
+    "n_aggregation_events": "aggregate",
+    "n_updates_absorbed": "absorb",
+}
+
+
+class TestEventLog:
+    @pytest.mark.parametrize("cell", sorted(_COUNTED_CELLS))
+    def test_every_counter_is_an_event_count(self, env_factory, cell):
+        env = env_factory(local_epochs=1)
+        engine = RoundEngine(env, _COUNTED_CELLS[cell])
+        strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
+        aggregated = _spy_aggregate(strategy)
+        history = RunHistory("test", "x", 0)
+        engine.run(strategy, 4, history)
+        events = engine.events
+        totals = Counter(event.kind for event in events)
+        # The cell exercises every middleware it composes.
+        exercised = {"dispatch", "drop", "quarantine", "stale", "depart"}
+        if cell == "sync":
+            exercised.add("straggler")
+            assert any(event.round >= 1_000_000 for event in events)
+            assert any(r.quorum_failed for r in history.records)
+        assert exercised <= set(totals)
+
+        per_round = counts_by_round(events)
+        for record in history.records:
+            counts = per_round.get(record.round_index, {})
+            assert record.n_participants == counts.get("dispatch", 0)
+            assert record.n_stale == counts.get("stale", 0)
+            assert record.n_departed == counts.get("depart", 0)
+            assert record.n_quarantined == counts.get("quarantine", 0)
+            assert record.aggregation_event == (counts.get("aggregate", 0) == 1)
+            assert record.aggregation_event == (record.round_index in aggregated)
+            assert counts.get("absorb", 0) == len(
+                aggregated.get(record.round_index, [])
+            )
+            if cell == "sync":
+                assert record.quorum_failed == (not record.aggregation_event)
+
+        run_record = engine.run_record()
+        for key, kind in _RECORD_KINDS.items():
+            assert run_record[key] == totals[kind], key
+        assert run_record["quarantine_reasons"] == dict(
+            Counter(e.reason for e in events if e.kind == "quarantine")
+        )
+        assert (
+            run_record["n_aggregation_events"]
+            == history.to_dict()["n_aggregation_events"]
+        )
 
 
 # ----------------------------------------------------------------------
@@ -628,10 +733,9 @@ class TestComputeBudgets:
         engine = RoundEngine(env, ScenarioConfig(compute_budget=(0, 2)))
         strategy = GlobalModelRounds(env.layout.pack(env.init_state()))
         broadcast = strategy.vector.copy()
-        outcomes = []
-        strategy.on_round_end = lambda eng, out: outcomes.append(out)
+        aggregated = _spy_aggregate(strategy)
         engine.run(strategy, 1, RunHistory("test", "x", 0))
-        survivors = outcomes[0].survivors
+        survivors = aggregated[1]
         zero = [u for u in survivors if u.n_batches == 0]
         live = [u for u in survivors if u.n_batches > 0]
         assert zero, "seeded (0, 2) draw should zero out someone"

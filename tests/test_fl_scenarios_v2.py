@@ -238,7 +238,9 @@ class TestRealizedTrace:
         assert trace.clients == frozenset(range(8))
         # Survivors = dispatched minus dropped, per round.
         dropped = {
-            (r, cid) for r, ids in result.extras["drop_log"] for cid in ids
+            (event.round, event.client)
+            for event in result.extras["events"]
+            if event.kind == "drop"
         }
         for cid in range(8):
             for r in trace.rounds_for(cid):
@@ -271,8 +273,11 @@ class TestRealizedTrace:
             original.per_client_accuracy, replayed.per_client_accuracy
         )
         # The replay rolled no dice at all.
-        assert replayed.extras["drop_log"] == []
-        assert replayed.extras["straggler_log"] == []
+        assert not [
+            event
+            for event in replayed.extras["events"]
+            if event.kind in ("drop", "straggler")
+        ]
         # Replay dispatches only the on-time cohort, so it never pays
         # for a dropped or late client's traffic.
         assert (
@@ -295,25 +300,24 @@ class TestRealizedTrace:
     def test_capture_arithmetic_round_trips(
         self, trace_env_factory, participation, data
     ):
-        """realized = participation minus drops minus deadline misses,
-        for arbitrary logs — and the capture survives a JSON round
+        """realized = dispatches minus drops minus deadline misses, for
+        arbitrary event logs — and the capture survives a JSON round
         trip."""
-        from repro.fl.rounds import RoundEngine, ScenarioConfig
+        from repro.fl.rounds import Event, RoundEngine, ScenarioConfig
 
         engine = RoundEngine(trace_env_factory(), ScenarioConfig())
-        engine.participation_log = [
-            (r, sorted(ids)) for r, ids in sorted(participation.items())
+        engine.events = [
+            Event(r, "dispatch", cid)
+            for r, ids in sorted(participation.items())
+            for cid in sorted(ids)
         ]
         removed: dict[int, set[int]] = {}
-        for log_name in ("drop_log", "straggler_log"):
-            log = []
+        for kind in ("drop", "straggler"):
             for r, ids in participation.items():
                 gone = data.draw(st.sets(st.sampled_from(sorted(ids))))
-                if gone:
-                    log.append((r, sorted(gone)))
-                    for cid in gone:
-                        removed.setdefault(cid, set()).add(r)
-            setattr(engine, log_name, log)
+                engine.events.extend(Event(r, kind, cid) for cid in sorted(gone))
+                for cid in gone:
+                    removed.setdefault(cid, set()).add(r)
         trace = engine.realized_trace()
         assert trace.clients == frozenset(range(8))
         for cid in range(8):
