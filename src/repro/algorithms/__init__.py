@@ -6,10 +6,8 @@ from repro.algorithms.base import (
     GlobalModelRounds,
     RunResult,
     evaluate_assignment,
-    fedavg_round,
     fedavg_round_flat,
     run_clustered_training,
-    states_for_clients,
 )
 from repro.algorithms.cfl import CFL
 from repro.algorithms.fedavg import FedAvg
@@ -29,10 +27,8 @@ __all__ = [
     "GlobalModelRounds",
     "RunResult",
     "evaluate_assignment",
-    "fedavg_round",
     "fedavg_round_flat",
     "run_clustered_training",
-    "states_for_clients",
     "CFL",
     "FedAvg",
     "FedProx",

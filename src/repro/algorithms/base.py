@@ -13,9 +13,8 @@ this module contributes the building blocks the algorithms plug into it:
 * :class:`ClusteredRounds` — per-cluster FedAvg over a packed
   ``(n_clusters, n_params)`` matrix, used by the one-shot methods
   (FedClust, PACFL) after clustering;
-* :func:`fedavg_round` / :func:`fedavg_round_flat` — the one-round
-  primitive, kept as the reference kernel for external callers, tests
-  and the engine-overhead benchmark.
+* :func:`fedavg_round_flat` — the one-round primitive, kept as the
+  reference kernel for tests and the engine-overhead benchmark.
 """
 
 from __future__ import annotations
@@ -46,10 +45,8 @@ __all__ = [
     "FLAlgorithm",
     "GlobalModelRounds",
     "ClusteredRounds",
-    "fedavg_round",
     "fedavg_round_flat",
     "cohort_matrix",
-    "states_for_clients",
     "survivor_mean_loss",
     "survivor_weighted_average",
     "tasks_for_groups",
@@ -401,7 +398,7 @@ def fedavg_round_flat(
     full model and uploads its full update.
     """
     if len(members) == 0:
-        raise ValueError("fedavg_round needs at least one member")
+        raise ValueError("fedavg_round_flat needs at least one member")
     vector = np.asarray(vector, dtype=np.float64)
     tasks = [
         UpdateTask(int(cid), flat=vector, prox_mu=prox_mu) for cid in members
@@ -416,45 +413,6 @@ def fedavg_round_flat(
     )
     mean_loss = float(np.mean([u.mean_loss for u in updates]))
     return env.layout.round_trip(new_vector), mean_loss, updates
-
-
-def fedavg_round(
-    env: FederatedEnv,
-    state: Mapping[str, np.ndarray],
-    members: Sequence[int],
-    round_index: int,
-    prox_mu: float = 0.0,
-    phase: str = "training",
-) -> tuple[dict[str, np.ndarray], float, list]:
-    """Dict-API view of :func:`fedavg_round_flat`.
-
-    Packs ``state`` once, runs the flat round, and unpacks the result —
-    numbers are identical to the historical dict implementation (packing
-    is exact and the flat round rounds its output through the parameter
-    dtypes).  Kept for external callers; the in-tree algorithms ride the
-    engine.
-    """
-    vector, mean_loss, updates = fedavg_round_flat(
-        env,
-        env.layout.pack(state),
-        members,
-        round_index,
-        prox_mu=prox_mu,
-        phase=phase,
-    )
-    return dict(unpack_state(vector, env.layout)), mean_loss, updates
-
-
-def states_for_clients(
-    cluster_states: Sequence[Mapping[str, np.ndarray]], labels: np.ndarray
-) -> list[Mapping[str, np.ndarray]]:
-    """Expand per-cluster states to a per-client list via ``labels``."""
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= len(cluster_states):
-        raise ValueError(
-            f"labels reference clusters outside [0, {len(cluster_states)})"
-        )
-    return [cluster_states[int(g)] for g in labels]
 
 
 def evaluate_assignment(

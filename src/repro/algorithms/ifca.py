@@ -74,10 +74,8 @@ class _IFCARounds(RoundStrategy):
     def aggregate(
         self, engine: RoundEngine, round_index: int, survivors: list[ClientUpdate]
     ) -> float:
-        if not survivors:
-            return float("nan")
         env = engine.env
-        losses = []
+        clustered = []
         for j in range(self.algo.n_clusters):
             mine = [u for u in survivors if self.labels[u.client_id] == j]
             if not mine:
@@ -88,8 +86,8 @@ class _IFCARounds(RoundStrategy):
             vector = survivor_weighted_average(env, mine, **engine.robust_kwargs)
             if vector is not None:
                 self.states[j] = env.layout.round_trip(vector)
-            losses.extend(u.mean_loss for u in mine if u.n_batches > 0)
-        return float(np.mean(losses)) if losses else float("nan")
+            clustered.extend(mine)
+        return survivor_mean_loss(clustered)
 
     def evaluate(
         self, engine: RoundEngine, round_index: int

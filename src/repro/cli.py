@@ -27,12 +27,13 @@ from repro.utils.serialization import save_json
 __all__ = ["main", "build_parser"]
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = True) -> None:
     parser.add_argument("--scale", default=None, choices=["quick", "bench", "paper"],
                         help="experiment scale preset (default: $REPRO_SCALE or quick)")
     parser.add_argument("--out", default=None, metavar="PATH",
                         help="write a JSON result record to PATH")
-    parser.add_argument("--seed", type=int, default=0)
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="Table I: six methods × three datasets")
-    _add_common(p)
+    _add_common(p, seed=False)  # seeds come from the scale preset
     p.add_argument("--datasets", nargs="+", default=["cifar10", "fmnist", "svhn"])
     p.add_argument("--methods", nargs="+", default=None,
                    help="subset of: fedavg fedprox cfl ifca pacfl fedclust")
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "wire-dtype shards lazily so memory tracks the "
                         "clients actually touched — the population-scale "
                         "configuration")
-    p.add_argument("--shard-size", type=int, default=256, metavar="N",
+    p.add_argument("--shard-size", type=int, default=None, metavar="N",
                    help="clients per shard for --store sharded "
                         "(default: 256)")
     p.add_argument("--store-path", default=None, metavar="DIR",
@@ -171,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "each round (server rows at wire dtype, rng "
                         "derivation state, stale/in-flight buffers, "
                         "history, traffic counters)")
-    p.add_argument("--checkpoint-every", type=int, default=1, metavar="N",
+    p.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
                    help="checkpoint cadence in rounds (default: every "
                         "round; the final round is always written)")
     p.add_argument("--resume", action="store_true",
@@ -356,11 +357,16 @@ def _cmd_run(args: argparse.Namespace) -> dict:
     if args.checkpoint is not None:
         checkpoint = CheckpointConfig(
             directory=args.checkpoint,
-            every=args.checkpoint_every,
+            every=(
+                CheckpointConfig.every
+                if args.checkpoint_every is None
+                else args.checkpoint_every
+            ),
             resume=args.resume,
         )
-    elif args.resume:
-        raise SystemExit("--resume needs --checkpoint DIR")
+    elif args.resume or args.checkpoint_every is not None:
+        flag = "--resume" if args.resume else "--checkpoint-every"
+        raise SystemExit(f"{flag} needs --checkpoint DIR")
     # Scenario policy composes with every algorithm through the round
     # engine — not just FedAvg's constructor fraction.
     scenario = ScenarioConfig(
@@ -378,11 +384,18 @@ def _cmd_run(args: argparse.Namespace) -> dict:
         max_retries=args.max_retries,
         checkpoint=checkpoint,
     )
-    if args.store_path is not None and args.store != "sharded":
-        raise SystemExit("--store-path needs --store sharded")
+    if args.store != "sharded":
+        for flag, value in (
+            ("--shard-size", args.shard_size),
+            ("--store-path", args.store_path),
+        ):
+            if value is not None:
+                raise SystemExit(f"{flag} needs --store sharded")
     store_config = StoreConfig(
         kind=args.store,
-        shard_size=args.shard_size,
+        shard_size=(
+            StoreConfig.shard_size if args.shard_size is None else args.shard_size
+        ),
         edge_size=args.edge_size,
         path=args.store_path,
     )

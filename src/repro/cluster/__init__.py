@@ -1,33 +1,25 @@
 """Clustering substrate: distances, hierarchical clustering, metrics."""
 
-from repro.cluster.dendrogram import dendrogram_text, leaf_order
 from repro.cluster.distance import (
-    condensed_from_square,
     pairwise_cosine_distance,
     pairwise_cosine_similarity,
     pairwise_distances,
     pairwise_euclidean,
     pairwise_sqeuclidean,
-    square_from_condensed,
     validate_distance_matrix,
 )
 from repro.cluster.hierarchy import (
     LINKAGE_METHODS,
     auto_cut_gap,
     canonical_labels,
-    cophenetic_matrix,
     cut_by_distance,
     cut_by_k,
     linkage,
-    merge_heights,
 )
-from repro.cluster.kmeans import KMeansResult, kmeans, kmeans_plus_plus_init
 from repro.cluster.metrics import (
     adjusted_rand_index,
     contingency_table,
     group_separability,
-    normalized_mutual_information,
-    purity,
     silhouette_score,
 )
 from repro.cluster.subspace import (
@@ -38,32 +30,21 @@ from repro.cluster.subspace import (
 )
 
 __all__ = [
-    "dendrogram_text",
-    "leaf_order",
-    "condensed_from_square",
     "pairwise_cosine_distance",
     "pairwise_cosine_similarity",
     "pairwise_distances",
     "pairwise_euclidean",
     "pairwise_sqeuclidean",
-    "square_from_condensed",
     "validate_distance_matrix",
     "LINKAGE_METHODS",
     "auto_cut_gap",
     "canonical_labels",
-    "cophenetic_matrix",
     "cut_by_distance",
     "cut_by_k",
     "linkage",
-    "merge_heights",
-    "KMeansResult",
-    "kmeans",
-    "kmeans_plus_plus_init",
     "adjusted_rand_index",
     "contingency_table",
     "group_separability",
-    "normalized_mutual_information",
-    "purity",
     "silhouette_score",
     "data_subspace",
     "pairwise_subspace_distances",

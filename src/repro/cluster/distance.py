@@ -18,8 +18,6 @@ __all__ = [
     "pairwise_cosine_similarity",
     "pairwise_cosine_distance",
     "pairwise_distances",
-    "condensed_from_square",
-    "square_from_condensed",
     "validate_distance_matrix",
 ]
 
@@ -98,29 +96,6 @@ def pairwise_distances(x: np.ndarray, metric: str = "euclidean") -> np.ndarray:
     if metric not in _METRICS:
         raise ValueError(f"unknown metric {metric!r}; options: {sorted(_METRICS)}")
     return _METRICS[metric](x)
-
-
-def condensed_from_square(d: np.ndarray) -> np.ndarray:
-    """Upper-triangle (scipy ``pdist``-style) vector of a square matrix."""
-    d = validate_distance_matrix(d)
-    iu = np.triu_indices(d.shape[0], k=1)
-    return d[iu]
-
-
-def square_from_condensed(condensed: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of :func:`condensed_from_square`."""
-    condensed = np.asarray(condensed, dtype=np.float64)
-    expected = n * (n - 1) // 2
-    if condensed.shape != (expected,):
-        raise ValueError(
-            f"condensed length {condensed.shape} mismatches n={n} "
-            f"(expected {expected})"
-        )
-    out = np.zeros((n, n))
-    iu = np.triu_indices(n, k=1)
-    out[iu] = condensed
-    out.T[iu] = condensed
-    return out
 
 
 def validate_distance_matrix(d: np.ndarray, atol: float = 1e-8) -> np.ndarray:

@@ -29,8 +29,6 @@ __all__ = [
     "cut_by_k",
     "cut_by_distance",
     "auto_cut_gap",
-    "merge_heights",
-    "cophenetic_matrix",
     "canonical_labels",
 ]
 
@@ -122,15 +120,6 @@ def linkage(distance_matrix: np.ndarray, method: str = "average") -> np.ndarray:
         work[:, b] = np.inf
         current_id[a] = n + step
     return out
-
-
-def merge_heights(linkage_matrix: np.ndarray) -> np.ndarray:
-    """The sequence of merge distances (column 2), ascending for
-    monotonic linkages."""
-    z = np.asarray(linkage_matrix, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != 4:
-        raise ValueError(f"linkage matrix must be (n-1, 4), got {z.shape}")
-    return z[:, 2].copy()
 
 
 def _labels_from_merge_prefix(linkage_matrix: np.ndarray, n_merges: int) -> np.ndarray:
@@ -234,24 +223,3 @@ def auto_cut_gap(
     if gaps[best] < min_gap_ratio * scale:
         return _labels_from_merge_prefix(z, n - 1)  # one cluster
     return _labels_from_merge_prefix(z, best + 1)
-
-
-def cophenetic_matrix(linkage_matrix: np.ndarray) -> np.ndarray:
-    """Square matrix of cophenetic distances (merge height joining i, j).
-
-    Used by tests to check the dendrogram structure against scipy.
-    """
-    z = np.asarray(linkage_matrix)
-    n = z.shape[0] + 1
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    out = np.zeros((n, n))
-    for step in range(n - 1):
-        a, b = int(z[step, 0]), int(z[step, 1])
-        left, right = members.pop(a), members.pop(b)
-        h = z[step, 2]
-        li = np.array(left)[:, None]
-        ri = np.array(right)[None, :]
-        out[li, ri] = h
-        out[ri.T, li.T] = h
-        members[n + step] = left + right
-    return out

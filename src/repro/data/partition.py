@@ -150,7 +150,7 @@ def label_cluster_partition(
     This is the paper's motivation setup (Fig. 1): e.g. two groups,
     ``G1 = {0..4}`` and ``G2 = {5..9}``, clients assigned round-robin.
     Returns ``(parts, group_of_client)`` — the second array is the ground
-    truth that clustering metrics (ARI/NMI) are scored against.
+    truth that clustering metrics (ARI) are scored against.
     """
     check_positive("n_clients", n_clients)
     if not groups:

@@ -154,7 +154,10 @@ def scenario_to_dict(scenario: ScenarioConfig) -> dict:
 
     Dropping default-valued fields makes the representation (and
     therefore the run ID) independent of *how* the config was spelled —
-    ``{"failure_rate": 0.0}`` and ``{}`` are the same experiment.
+    ``{"failure_rate": 0.0}`` and ``{}`` are the same experiment.  A knob
+    that nothing reads under the rest of the config is dropped too:
+    ``max_retries`` without ``min_survivors``, and ``trim_fraction``
+    under any rule but ``trimmed_mean``.
     """
     out: dict = {}
     if scenario.client_fraction < 1.0:
@@ -200,13 +203,15 @@ def scenario_to_dict(scenario: ScenarioConfig) -> dict:
         }
     if scenario.robust_agg != "none":
         out["robust_agg"] = scenario.robust_agg
-        out["trim_fraction"] = float(scenario.trim_fraction)
+        if scenario.robust_agg == "trimmed_mean":  # the only rule that reads it
+            out["trim_fraction"] = float(scenario.trim_fraction)
     if scenario.norm_bound is not None:
         out["norm_bound"] = float(scenario.norm_bound)
     if scenario.min_survivors > 0:
         out["min_survivors"] = int(scenario.min_survivors)
-    if scenario.max_retries > 0:
-        out["max_retries"] = int(scenario.max_retries)
+        # Retries only fire against a quorum.
+        if scenario.max_retries > 0:
+            out["max_retries"] = int(scenario.max_retries)
     return out
 
 

@@ -2,14 +2,12 @@
 
 from repro.fl.aggregation import (
     packed_weighted_average,
-    uniform_average,
     weighted_average,
     weighted_average_dict,
 )
 from repro.fl.client import (
     ClientUpdate,
     local_train,
-    run_client_update,
     run_client_update_flat,
 )
 from repro.fl.communication import (
@@ -17,10 +15,6 @@ from repro.fl.communication import (
     CommunicationTracker,
     decode_flat_payload,
     encode_flat_payload,
-    flat_payload_nbytes,
-    params_in_keys,
-    params_in_layout,
-    params_in_state,
 )
 from repro.fl.config import TrainConfig
 from repro.fl.defense import (
@@ -61,28 +55,22 @@ from repro.fl.rounds import (
     ScenarioConfig,
     aggregation_weights,
 )
-from repro.fl.sampling import full_participation, sample_from, uniform_sample
+from repro.fl.sampling import sample_from, uniform_sample
 from repro.fl.trace import AvailabilityTrace
 from repro.fl.simulation import FederatedEnv
 from repro.fl.train_flat import plan_cohort_schedule, supports_batched, train_cohort_flat
 
 __all__ = [
     "packed_weighted_average",
-    "uniform_average",
     "weighted_average",
     "weighted_average_dict",
     "ClientUpdate",
     "local_train",
-    "run_client_update",
     "run_client_update_flat",
     "BYTES_PER_PARAM",
     "CommunicationTracker",
     "decode_flat_payload",
     "encode_flat_payload",
-    "flat_payload_nbytes",
-    "params_in_keys",
-    "params_in_layout",
-    "params_in_state",
     "TrainConfig",
     "CORRUPTION_KINDS",
     "ROBUST_AGG_MODES",
@@ -118,7 +106,6 @@ __all__ = [
     "AsyncConfig",
     "aggregation_weights",
     "AvailabilityTrace",
-    "full_participation",
     "sample_from",
     "uniform_sample",
     "FederatedEnv",

@@ -32,7 +32,6 @@ __all__ = [
     "packed_weighted_average",
     "weighted_average",
     "weighted_average_dict",
-    "uniform_average",
 ]
 
 
@@ -130,10 +129,3 @@ def weighted_average_dict(
     return OrderedDict(
         (k, acc64[k].astype(states[0][k].dtype)) for k in acc64
     )
-
-
-def uniform_average(
-    states: Sequence[Mapping[str, np.ndarray]],
-) -> "OrderedDict[str, np.ndarray]":
-    """Unweighted mean of states (used in ablations)."""
-    return weighted_average(states, np.ones(len(states)))

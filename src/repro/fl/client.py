@@ -30,7 +30,6 @@ from repro.nn.state_flat import (
 __all__ = [
     "ClientUpdate",
     "local_train",
-    "run_client_update",
     "run_client_update_flat",
 ]
 
@@ -135,27 +134,6 @@ def local_train(
     return (total_loss / n_batches if n_batches else 0.0), n_batches
 
 
-def run_client_update(
-    model: Module,
-    client_id: int,
-    dataset: ArrayDataset,
-    incoming_state: dict[str, np.ndarray],
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    prox_mu: float = 0.0,
-) -> ClientUpdate:
-    """Full client round: load state → local train → snapshot new state."""
-    model.load_state_dict(incoming_state)
-    mean_loss, n_batches = local_train(model, dataset, cfg, rng, prox_mu=prox_mu)
-    return ClientUpdate(
-        client_id=client_id,
-        state=model.state_dict(copy=True),
-        n_samples=len(dataset),
-        mean_loss=mean_loss,
-        n_batches=n_batches,
-    )
-
-
 def run_client_update_flat(
     model: Module,
     client_id: int,
@@ -168,11 +146,10 @@ def run_client_update_flat(
 ) -> ClientUpdate:
     """Flat-transport client round: one packed vector in, one out.
 
-    Equivalent to :func:`run_client_update` on ``unpack(incoming_flat)``
-    — packing is exact (see :mod:`repro.nn.state_flat`), so results are
-    bit-identical to the dict path — but the payload each way is a single
-    contiguous buffer, which is what the parallel executors ship across
-    process boundaries.
+    Packing is exact (see :mod:`repro.nn.state_flat`), so loading
+    ``unpack(incoming_flat)`` trains exactly the state that was sent; the
+    payload each way is a single contiguous buffer, which is what the
+    parallel executors ship across process boundaries.
     """
     model.load_state_dict(unpack_state(incoming_flat, layout))
     mean_loss, n_batches = local_train(

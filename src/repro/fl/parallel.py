@@ -7,15 +7,16 @@ the serial path** — every (round, client) pair derives its RNG stream
 statelessly via :func:`repro.utils.rng.rng_for`, so execution order and
 worker count cannot change the outcome.
 
-All three executors move model states as *packed vectors* (see
+All four executors move model states as *packed vectors* (see
 :mod:`repro.nn.state_flat`): the broadcast state is packed once per
 round (not once per client — broadcast tasks share one state object),
-each worker trains via :func:`repro.fl.client.run_client_update_flat`,
-and every returned :class:`ClientUpdate` carries its ``flat`` vector so
-the server can aggregate with a single GEMV without repacking.  Packing
-is exact, so the flat transport changes no numbers.
+each client trains via :func:`repro.fl.client.run_client_update_flat`
+(or, in the batched executor, inside a lockstep cohort), and every
+returned :class:`ClientUpdate` carries its ``flat`` vector so the server
+can aggregate with a single GEMV without repacking.  Packing is exact,
+so the flat transport changes no numbers.
 
-Three executors:
+Four executors:
 
 * :class:`SerialClientExecutor` — the default; zero overhead, easiest to
   debug.
@@ -29,6 +30,10 @@ Three executors:
   (encoded at the layout's wire dtype — float32 for float32 models,
   half the bytes of the former pickled-dict payload) instead of a
   pickled dict of arrays.
+* :class:`BatchedClientExecutor` — trains each cohort that shares a
+  broadcast in lockstep with a leading client axis
+  (:func:`repro.fl.train_flat.train_cohort_flat`); architectures without
+  a batched mirror fall back to the serial kernel per task.
 """
 
 from __future__ import annotations

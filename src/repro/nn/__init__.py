@@ -2,16 +2,15 @@
 
 Implements everything the FedClust reproduction needs from a deep-learning
 framework: a module tree with manual backpropagation, im2col convolutions,
-pooling, batch norm, dropout, losses, SGD-family optimisers (including the
-FedProx proximal variant), weight initialisers, a model zoo (LeNet-5, MLP,
-VGG-style nets), and state-dict arithmetic for federated aggregation.
+pooling, group norm, dropout, the cross-entropy loss, SGD-family
+optimisers (including the FedProx proximal variant), weight initialisers,
+a model zoo (LeNet-5, MLP, VGG-style nets, a tiny ResNet), and the flat
+parameter plane that federated aggregation runs on.
 """
 
 from repro.nn import batched, functional, init, state, state_flat
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -23,7 +22,7 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
-from repro.nn.loss import CrossEntropyLoss, Loss, MSELoss
+from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.models import (
     Residual,
     available_models,
@@ -46,15 +45,8 @@ from repro.nn.state_flat import (
     unpack_keys,
     unpack_state,
 )
-from repro.nn.optim import SGD, Adam, Optimizer, ProximalSGD
+from repro.nn.optim import SGD, Optimizer, ProximalSGD
 from repro.nn.parameter import Parameter
-from repro.nn.schedulers import (
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    Scheduler,
-    StepLR,
-)
 
 __all__ = [
     "batched",
@@ -69,8 +61,6 @@ __all__ = [
     "unpack_keys",
     "unpack_state",
     "AvgPool2d",
-    "BatchNorm1d",
-    "BatchNorm2d",
     "Conv2d",
     "Dropout",
     "Flatten",
@@ -82,7 +72,6 @@ __all__ = [
     "Tanh",
     "CrossEntropyLoss",
     "Loss",
-    "MSELoss",
     "available_models",
     "build_model",
     "cnn_small",
@@ -95,16 +84,10 @@ __all__ = [
     "Module",
     "Sequential",
     "SGD",
-    "Adam",
     "Optimizer",
     "ProximalSGD",
     "Parameter",
     "GroupNorm",
     "Residual",
     "resnet_tiny",
-    "ConstantLR",
-    "CosineAnnealingLR",
-    "ExponentialLR",
-    "Scheduler",
-    "StepLR",
 ]

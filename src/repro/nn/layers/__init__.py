@@ -5,7 +5,7 @@ from repro.nn.layers.conv import Conv2d
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.linear import Linear
-from repro.nn.layers.norm import BatchNorm1d, BatchNorm2d, GroupNorm
+from repro.nn.layers.norm import GroupNorm
 from repro.nn.layers.pool import AvgPool2d, MaxPool2d
 
 __all__ = [
@@ -17,8 +17,6 @@ __all__ = [
     "Dropout",
     "Flatten",
     "Linear",
-    "BatchNorm1d",
-    "BatchNorm2d",
     "GroupNorm",
     "AvgPool2d",
     "MaxPool2d",

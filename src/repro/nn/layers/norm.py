@@ -1,10 +1,8 @@
-"""Batch normalisation.
+"""Group normalisation (used by ``resnet_tiny``).
 
 ``gamma``/``beta`` are trainable :class:`~repro.nn.parameter.Parameter`
-objects and therefore participate in federated aggregation; the running
-mean/variance are *local buffers* that never leave the client — the same
-convention as FedBN, which avoids averaging incompatible batch statistics
-across non-IID clients.
+objects and therefore participate in federated aggregation; there are no
+running statistics, so nothing stays local to a client.
 """
 
 from __future__ import annotations
@@ -14,120 +12,7 @@ import numpy as np
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter
 
-__all__ = ["BatchNorm1d", "BatchNorm2d", "GroupNorm"]
-
-
-class _BatchNorm(Module):
-    """Shared implementation; subclasses fix the reduction axes."""
-
-    def __init__(
-        self,
-        num_features: int,
-        eps: float = 1e-5,
-        momentum: float = 0.1,
-        dtype: np.dtype | type = np.float32,
-    ) -> None:
-        super().__init__()
-        if num_features <= 0:
-            raise ValueError(f"num_features must be positive, got {num_features}")
-        if not 0.0 < momentum <= 1.0:
-            raise ValueError(f"momentum must be in (0, 1], got {momentum}")
-        self.num_features = num_features
-        self.eps = eps
-        self.momentum = momentum
-        self.gamma = Parameter(np.ones(num_features, dtype=dtype))
-        self.beta = Parameter(np.zeros(num_features, dtype=dtype))
-        # Local buffers — deliberately not Parameters (see module docstring).
-        self.running_mean = np.zeros(num_features, dtype=dtype)
-        self.running_var = np.ones(num_features, dtype=dtype)
-        self._cache: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    # Subclasses supply the axes that are reduced over and the broadcast shape.
-    _axes: tuple[int, ...] = ()
-
-    def _bshape(self) -> tuple[int, ...]:
-        raise NotImplementedError
-
-    def _check(self, x: np.ndarray) -> None:
-        raise NotImplementedError
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._check(x)
-        shape = self._bshape()
-        if self.training:
-            mean = x.mean(axis=self._axes)
-            var = x.var(axis=self._axes)  # biased, as in standard BN training
-            m = self.momentum
-            n = x.size // self.num_features
-            unbiased = var * n / max(n - 1, 1)
-            self.running_mean = (1 - m) * self.running_mean + m * mean.astype(
-                self.running_mean.dtype
-            )
-            self.running_var = (1 - m) * self.running_var + m * unbiased.astype(
-                self.running_var.dtype
-            )
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean.reshape(shape)) * inv_std.reshape(shape)
-        if self.training:
-            self._cache = (x_hat, inv_std, x_hat)  # inv_std reused in backward
-        else:
-            self._cache = None
-        return self.gamma.data.reshape(shape) * x_hat + self.beta.data.reshape(shape)
-
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError(
-                "BatchNorm backward requires a preceding training-mode forward"
-            )
-        x_hat, inv_std, _ = self._cache
-        shape = self._bshape()
-        self.gamma.accumulate_grad((grad_output * x_hat).sum(axis=self._axes))
-        self.beta.accumulate_grad(grad_output.sum(axis=self._axes))
-        # Standard batch-stat backward: project out the mean and the
-        # component along x_hat before rescaling.
-        g = grad_output
-        mean_g = g.mean(axis=self._axes).reshape(shape)
-        mean_gx = (g * x_hat).mean(axis=self._axes).reshape(shape)
-        dx = (
-            self.gamma.data.reshape(shape)
-            * inv_std.reshape(shape)
-            * (g - mean_g - x_hat * mean_gx)
-        )
-        self._cache = None
-        return dx.astype(grad_output.dtype)
-
-
-class BatchNorm1d(_BatchNorm):
-    """Batch norm over ``(N, F)`` feature batches."""
-
-    _axes = (0,)
-
-    def _bshape(self) -> tuple[int, ...]:
-        return (1, self.num_features)
-
-    def _check(self, x: np.ndarray) -> None:
-        if x.ndim != 2 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm1d expected (N, {self.num_features}), got {x.shape}"
-            )
-
-
-class BatchNorm2d(_BatchNorm):
-    """Batch norm over ``(N, C, H, W)`` image batches (per-channel)."""
-
-    _axes = (0, 2, 3)
-
-    def _bshape(self) -> tuple[int, ...]:
-        return (1, self.num_features, 1, 1)
-
-    def _check(self, x: np.ndarray) -> None:
-        if x.ndim != 4 or x.shape[1] != self.num_features:
-            raise ValueError(
-                f"BatchNorm2d expected (N, {self.num_features}, H, W), got {x.shape}"
-            )
+__all__ = ["GroupNorm"]
 
 
 class GroupNorm(Module):

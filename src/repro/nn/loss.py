@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.nn.functional import log_softmax, one_hot, softmax
 
-__all__ = ["Loss", "CrossEntropyLoss", "MSELoss"]
+__all__ = ["Loss", "CrossEntropyLoss"]
 
 
 class Loss:
@@ -59,30 +59,5 @@ class CrossEntropyLoss(Loss):
         grad = softmax(outputs, axis=1)
         grad -= one_hot(targets, c, dtype=grad.dtype)
         grad /= n
-        self._cache = None
-        return grad.astype(outputs.dtype)
-
-
-class MSELoss(Loss):
-    """Mean squared error over all elements (used by regression tests)."""
-
-    def __init__(self) -> None:
-        self._cache: tuple[np.ndarray, np.ndarray] | None = None
-
-    def forward(self, outputs: np.ndarray, targets: np.ndarray) -> float:
-        targets = np.asarray(targets, dtype=outputs.dtype)
-        if targets.shape != outputs.shape:
-            raise ValueError(
-                f"targets shape {targets.shape} must match outputs {outputs.shape}"
-            )
-        self._cache = (outputs, targets)
-        diff = outputs - targets
-        return float((diff * diff).mean())
-
-    def backward(self) -> np.ndarray:
-        if self._cache is None:
-            raise RuntimeError("backward called before forward")
-        outputs, targets = self._cache
-        grad = 2.0 * (outputs - targets) / outputs.size
         self._cache = None
         return grad.astype(outputs.dtype)

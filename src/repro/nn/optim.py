@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Optimizer", "SGD", "ProximalSGD", "Adam"]
+__all__ = ["Optimizer", "SGD", "ProximalSGD"]
 
 
 class Optimizer:
@@ -193,65 +193,3 @@ class ProximalSGD(SGD):
             v *= self.momentum
             v += g
             p.data -= self.lr * v
-
-
-class Adam(Optimizer):
-    """Adam (Kingma & Ba, 2015) with optional decoupled weight decay.
-
-    Used by the centralised-training utilities and available to FL local
-    training as an alternative to SGD (momentum-free adaptive steps are
-    sometimes preferred for very unbalanced local datasets).
-
-    ``decoupled_weight_decay=True`` gives AdamW semantics (decay applied
-    directly to the weights rather than folded into the gradient).
-    """
-
-    def __init__(
-        self,
-        params: Sequence[Parameter],
-        lr: float = 1e-3,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-        decoupled_weight_decay: bool = False,
-    ) -> None:
-        super().__init__(params, lr)
-        beta1, beta2 = betas
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {betas}")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        if weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {weight_decay}")
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.decoupled = decoupled_weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
-
-    def step(self) -> None:
-        self._t += 1
-        bias1 = 1.0 - self.beta1**self._t
-        bias2 = 1.0 - self.beta2**self._t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if self.weight_decay and not self.decoupled:
-                g = g + self.weight_decay * p.data
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            m_hat = m / bias1
-            v_hat = v / bias2
-            if self.decoupled and self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def reset_state(self) -> None:
-        """Zero the moment buffers and the step counter."""
-        for m, v in zip(self._m, self._v):
-            m[...] = 0
-            v[...] = 0
-        self._t = 0

@@ -1,34 +1,23 @@
-"""Shared infrastructure: RNG discipline, logging, timing, tables, I/O."""
+"""Shared infrastructure: RNG discipline, logging, tables, I/O, validation."""
 
-from repro.utils.logging import RoundLogger, enable_console_logging, get_logger
-from repro.utils.rng import derive_rng, make_rng, spawn_rngs, spawn_seeds
+from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.rng import make_rng, spawn_rngs
 from repro.utils.serialization import (
-    load_arrays,
     load_json,
-    save_arrays,
     save_json,
     to_jsonable,
 )
 from repro.utils.tables import Table, format_mean_std, render_matrix
-from repro.utils.timer import StageTimer, Timer, profiled
 
 __all__ = [
-    "RoundLogger",
     "enable_console_logging",
     "get_logger",
-    "derive_rng",
     "make_rng",
     "spawn_rngs",
-    "spawn_seeds",
-    "load_arrays",
     "load_json",
-    "save_arrays",
     "save_json",
     "to_jsonable",
     "Table",
     "format_mean_std",
     "render_matrix",
-    "StageTimer",
-    "Timer",
-    "profiled",
 ]

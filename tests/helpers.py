@@ -1,4 +1,5 @@
-"""Shared test utilities: numerical gradient checking and tiny fixtures.
+"""Shared test utilities: numerical gradient checking, a cophenetic-distance
+oracle and event-log views.
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -138,3 +139,24 @@ def counts_by_round(events) -> dict[int, dict[str, int]]:
         kinds = counts.setdefault(event.round % 1_000_000, {})
         kinds[event.kind] = kinds.get(event.kind, 0) + 1
     return counts
+
+
+def cophenetic_matrix(linkage_matrix: np.ndarray) -> np.ndarray:
+    """Square matrix of cophenetic distances (the merge height joining i, j).
+
+    The oracle that checks a linkage matrix's tree structure against
+    ``scipy.cluster.hierarchy.cophenet``.
+    """
+    z = np.asarray(linkage_matrix)
+    n = z.shape[0] + 1
+    members: dict[int, list[int]] = {i: [i] for i in range(n)}
+    out = np.zeros((n, n))
+    for step in range(n - 1):
+        a, b = int(z[step, 0]), int(z[step, 1])
+        left, right = members.pop(a), members.pop(b)
+        li = np.array(left)[:, None]
+        ri = np.array(right)[None, :]
+        out[li, ri] = z[step, 2]
+        out[ri.T, li.T] = z[step, 2]
+        members[n + step] = left + right
+    return out

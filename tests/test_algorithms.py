@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.base import fedavg_round, states_for_clients
+from repro.algorithms.base import fedavg_round_flat
 from repro.algorithms.cfl import CFL
 from repro.algorithms.fedavg import FedAvg
 from repro.algorithms.fedprox import FedProx
@@ -13,6 +13,8 @@ from repro.algorithms.ifca import IFCA
 from repro.algorithms.pacfl import PACFL
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.cluster.metrics import adjusted_rand_index
+
+from retired import states_for_clients
 
 
 class TestRegistry:
@@ -42,17 +44,18 @@ class TestRegistry:
 
 class TestSharedHelpers:
     def test_fedavg_round_aggregates_and_accounts(self, small_env):
-        state = small_env.init_state()
+        vector = small_env.layout.pack(small_env.init_state())
         before_up = small_env.tracker.total_uploaded
-        new_state, loss, updates = fedavg_round(small_env, state, [0, 1, 2], 1)
-        assert set(new_state.keys()) == set(state.keys())
+        new_vector, loss, updates = fedavg_round_flat(small_env, vector, [0, 1, 2], 1)
+        assert new_vector.shape == vector.shape
         assert np.isfinite(loss)
         assert len(updates) == 3
         assert small_env.tracker.total_uploaded - before_up == 3 * small_env.n_params
 
     def test_fedavg_round_empty_members_raises(self, small_env):
+        vector = small_env.layout.pack(small_env.init_state())
         with pytest.raises(ValueError, match="at least one"):
-            fedavg_round(small_env, small_env.init_state(), [], 1)
+            fedavg_round_flat(small_env, vector, [], 1)
 
     def test_states_for_clients(self, rng):
         states = [{"w": np.zeros(1)}, {"w": np.ones(1)}]

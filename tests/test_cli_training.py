@@ -1,4 +1,4 @@
-"""CLI plumbing and the centralised training utility."""
+"""CLI plumbing and the retired centralised training utility."""
 
 from __future__ import annotations
 
@@ -9,8 +9,9 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.data.synthetic import make_dataset
-from repro.nn import SGD, StepLR, mlp
-from repro.nn.training import accuracy, fit
+from repro.nn import SGD, mlp
+
+from retired import StepLR, accuracy, fit
 
 
 class TestParser:
@@ -67,6 +68,21 @@ class TestParser:
     def test_bad_scale_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--scale", "galactic"])
+
+    def test_table1_takes_no_seed(self):
+        # Table I draws its seeds from the scale preset; a --seed flag
+        # would be parsed and silently ignored.
+        assert not hasattr(build_parser().parse_args(["table1"]), "seed")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["table1", "--seed", "7"])
+
+    def test_checkpoint_every_needs_checkpoint(self):
+        with pytest.raises(SystemExit, match="--checkpoint-every needs --checkpoint"):
+            main(["run", "--checkpoint-every", "3"])
+
+    def test_shard_size_needs_sharded_store(self):
+        with pytest.raises(SystemExit, match="--shard-size needs --store sharded"):
+            main(["run", "--shard-size", "8"])
 
 
 @pytest.mark.slow

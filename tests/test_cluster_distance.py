@@ -4,18 +4,18 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist, pdist
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from repro.cluster.distance import (
-    condensed_from_square,
     pairwise_cosine_distance,
     pairwise_cosine_similarity,
     pairwise_distances,
     pairwise_euclidean,
     pairwise_sqeuclidean,
-    square_from_condensed,
     validate_distance_matrix,
 )
+
+from retired import condensed_from_square, square_from_condensed
 
 
 class TestAgainstScipy:
@@ -78,7 +78,7 @@ class TestCondensed:
     def test_matches_scipy_pdist(self, rng):
         x = rng.standard_normal((7, 3))
         np.testing.assert_allclose(
-            condensed_from_square(pairwise_euclidean(x)), pdist(x), rtol=1e-8
+            pairwise_euclidean(x), squareform(pdist(x)), rtol=1e-8
         )
 
     def test_wrong_length_raises(self):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.kmeans import kmeans, kmeans_plus_plus_init
 from repro.cluster.metrics import adjusted_rand_index
 from repro.cluster.subspace import (
     data_subspace,
@@ -13,6 +12,8 @@ from repro.cluster.subspace import (
     principal_angles,
     subspace_distance,
 )
+
+from retired import kmeans, kmeans_plus_plus_init
 
 
 class TestKMeans:

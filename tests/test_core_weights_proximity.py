@@ -8,12 +8,13 @@ import pytest
 from repro.core.proximity import proximity_matrix
 from repro.core.weights import (
     final_layer_keys,
-    final_layer_matrix,
     layer_index_keys,
     layer_keys,
     weight_matrix,
 )
 from repro.nn.models import lenet5, mlp
+
+from retired import final_layer_matrix
 
 
 @pytest.fixture

@@ -145,6 +145,19 @@ class TestRunIds:
         a = canonical_scenario({"failure_rate": 0.3, "client_fraction": 0.5})
         b = canonical_scenario({"client_fraction": 0.5, "failure_rate": 0.3})
         assert a == b
+        # Knobs nothing reads vanish too: retries never fire without a
+        # quorum, and only the trimmed mean reads trim_fraction.
+        assert canonical_scenario({"max_retries": 3}) == {}
+        assert canonical_scenario(
+            {"robust_agg": "clip", "trim_fraction": 0.3}
+        ) == canonical_scenario({"robust_agg": "clip"})
+        # ...but they still count where they are read.
+        assert canonical_scenario(
+            {"robust_agg": "trimmed_mean", "trim_fraction": 0.3}
+        ) != canonical_scenario({"robust_agg": "trimmed_mean"})
+        assert canonical_scenario(
+            {"min_survivors": 2, "max_retries": 3}
+        ) != canonical_scenario({"min_survivors": 2})
 
     def test_invalid_composition_rejected_at_declaration(self):
         # Canonicalisation routes through ScenarioConfig, so an illegal

@@ -115,7 +115,7 @@ class TestStragglerClustering:
 
 class TestDendrogram:
     def test_renders_planted_structure(self, rng):
-        from repro.cluster.dendrogram import dendrogram_text, leaf_order
+        from retired import dendrogram_text, leaf_order
         from repro.cluster.distance import pairwise_euclidean
         from repro.cluster.hierarchy import linkage
 
@@ -136,7 +136,7 @@ class TestDendrogram:
         assert first_half in ({0, 1, 2}, {3, 4, 5})
 
     def test_custom_labels_and_validation(self, rng):
-        from repro.cluster.dendrogram import dendrogram_text
+        from retired import dendrogram_text
         from repro.cluster.distance import pairwise_euclidean
         from repro.cluster.hierarchy import linkage
 

@@ -7,7 +7,9 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.fl.aggregation import uniform_average, weighted_average
+from repro.fl.aggregation import weighted_average
+
+from retired import uniform_average
 
 
 def _state(rng):

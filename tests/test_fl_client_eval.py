@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.data.synthetic import make_dataset
-from repro.fl.client import local_train, run_client_update
+from repro.fl.client import local_train, run_client_update_flat
 from repro.fl.config import TrainConfig
 from repro.fl.evaluation import evaluate_model, mean_local_accuracy
 from repro.nn.models import mlp
+from repro.nn.state_flat import StateLayout
 
 
 @pytest.fixture
@@ -79,29 +80,28 @@ class TestLocalTrain:
 class TestRunClientUpdate:
     def test_returns_new_state(self, model, tiny_dataset):
         cfg = TrainConfig(local_epochs=1, batch_size=32)
-        incoming = model.state_dict()
-        update = run_client_update(
-            model, 3, tiny_dataset, incoming, cfg, np.random.default_rng(0)
+        layout = StateLayout.from_model(model)
+        incoming = layout.pack(model.state_dict())
+        update = run_client_update_flat(
+            model, 3, tiny_dataset, incoming, layout, cfg, np.random.default_rng(0)
         )
         assert update.client_id == 3
         assert update.n_samples == len(tiny_dataset)
         assert update.n_batches > 0
         # State advanced away from the incoming state.
-        assert any(
-            not np.allclose(update.state[k], incoming[k]) for k in incoming
-        )
+        assert not np.allclose(update.flat, incoming)
 
     def test_deterministic_given_rng(self, model, tiny_dataset):
         cfg = TrainConfig(local_epochs=1, batch_size=32)
-        incoming = model.state_dict()
-        a = run_client_update(
-            model, 0, tiny_dataset, incoming, cfg, np.random.default_rng(42)
+        layout = StateLayout.from_model(model)
+        incoming = layout.pack(model.state_dict())
+        a = run_client_update_flat(
+            model, 0, tiny_dataset, incoming, layout, cfg, np.random.default_rng(42)
         )
-        b = run_client_update(
-            model, 0, tiny_dataset, incoming, cfg, np.random.default_rng(42)
+        b = run_client_update_flat(
+            model, 0, tiny_dataset, incoming, layout, cfg, np.random.default_rng(42)
         )
-        for k in a.state:
-            np.testing.assert_array_equal(a.state[k], b.state[k])
+        np.testing.assert_array_equal(a.flat, b.flat)
 
 
 class TestEvaluation:

@@ -7,12 +7,9 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from repro.fl.communication import (
-    BYTES_PER_PARAM,
-    CommunicationTracker,
-    params_in_keys,
-    params_in_state,
-)
+from repro.fl.communication import BYTES_PER_PARAM, CommunicationTracker
+
+from retired import params_in_keys, params_in_state
 
 
 class TestCounting:

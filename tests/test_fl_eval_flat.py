@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.base import evaluate_assignment, fedavg_round
+from repro.algorithms.base import evaluate_assignment, fedavg_round_flat
 from repro.fl.aggregation import weighted_average
 from repro.fl.eval_flat import (
     evaluate_grouped,
@@ -402,17 +402,17 @@ class TestCFLFlatDeltas:
         config we ship — the bipartition and both split-criterion
         comparisons come out identical."""
         from repro.algorithms.cfl import CFL
-        from repro.nn.state import flatten_state, state_sub
 
         env = small_env
         members = np.arange(env.federation.n_clients)
-        incoming = env.init_state()
-        _, _, updates = fedavg_round(env, incoming, members, round_index=1)
+        incoming = env.layout.pack(env.init_state())
+        _, _, updates = fedavg_round_flat(env, incoming, members, round_index=1)
 
-        flat_deltas = np.stack([u.flat for u in updates]) - env.layout.pack(incoming)
-        dict_deltas = np.stack(
-            [flatten_state(state_sub(u.state, incoming)) for u in updates]
-        )
+        rows = np.stack([u.flat for u in updates])
+        flat_deltas = rows - incoming
+        # The dict path subtracted per key at the parameter dtype.
+        wire = env.layout.wire_dtype
+        dict_deltas = (rows.astype(wire) - incoming.astype(wire)).astype(np.float64)
         np.testing.assert_allclose(flat_deltas, dict_deltas, rtol=1e-5, atol=1e-6)
 
         weights = np.array([u.n_samples for u in updates], dtype=np.float64)

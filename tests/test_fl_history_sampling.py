@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fl.history import RoundRecord, RunHistory
-from repro.fl.sampling import full_participation, sample_from, uniform_sample
+from repro.fl.sampling import sample_from, uniform_sample
+
+from retired import full_participation
 
 
 def _record(i, acc=0.5, up=100, down=100):

@@ -6,23 +6,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import (
-    SGD,
-    Adam,
-    ConstantLR,
-    CosineAnnealingLR,
-    ExponentialLR,
-    GroupNorm,
-    Residual,
-    StepLR,
-    resnet_tiny,
-)
+from repro.nn import SGD, GroupNorm, Residual, resnet_tiny
 from repro.nn.layers import Conv2d, Linear, ReLU
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Sequential
 from repro.nn.parameter import Parameter
 
 from helpers import check_module_gradients, to_float64
+from retired import Adam, ConstantLR, CosineAnnealingLR, ExponentialLR, StepLR
 
 
 def _param(value) -> Parameter:

@@ -7,8 +7,6 @@ import pytest
 
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Linear,
@@ -16,6 +14,8 @@ from repro.nn.layers import (
     ReLU,
     Sigmoid,
 )
+
+from retired import BatchNorm1d, BatchNorm2d
 
 
 class TestShapes:

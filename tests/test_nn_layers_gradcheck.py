@@ -12,8 +12,6 @@ import pytest
 
 from repro.nn.layers import (
     AvgPool2d,
-    BatchNorm1d,
-    BatchNorm2d,
     Conv2d,
     Dropout,
     Flatten,
@@ -27,6 +25,7 @@ from repro.nn.layers import (
 from repro.nn.module import Sequential
 
 from helpers import check_module_gradients, to_float64
+from retired import BatchNorm1d, BatchNorm2d
 
 
 def _x(rng: np.random.Generator, *shape: int) -> np.ndarray:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.nn.functional import softmax
-from repro.nn.loss import CrossEntropyLoss, MSELoss
+from repro.nn.loss import CrossEntropyLoss
+
+from retired import MSELoss
 
 from helpers import numerical_grad_entries, sample_indices
 

@@ -1,4 +1,4 @@
-"""State-dict arithmetic primitives."""
+"""Dict-state helpers (live) and the retired state-dict arithmetic."""
 
 from __future__ import annotations
 
@@ -11,15 +11,19 @@ from repro.nn.models import mlp
 from repro.nn.state import (
     check_same_keys,
     flatten_state,
+    state_axpy,
+    state_zeros_like,
+)
+from repro.nn.state_flat import StateLayout, unpack_state
+
+from retired import (
     state_add,
     state_allclose,
-    state_axpy,
     state_copy,
     state_dot,
     state_norm,
     state_scale,
     state_sub,
-    state_zeros_like,
     unflatten_state,
 )
 
@@ -42,7 +46,7 @@ class TestArithmetic:
 
     def test_axpy(self, rng):
         a, b = _state(rng), _state(rng)
-        acc = state_copy(a)
+        acc = OrderedDict((k, v.copy()) for k, v in a.items())
         state_axpy(acc, b, 0.5)
         np.testing.assert_allclose(acc["a"], a["a"] + 0.5 * b["a"])
 
@@ -82,8 +86,11 @@ class TestFlatten:
         a = _state(rng)
         flat = flatten_state(a)
         assert flat.shape == (10,)
-        back = unflatten_state(flat, a)
-        assert state_allclose(back, a)
+        layout = StateLayout.from_state(a)
+        np.testing.assert_array_equal(flat, layout.pack(a))
+        back = unpack_state(flat, layout)
+        for key in a:
+            np.testing.assert_array_equal(back[key], a[key])
 
     def test_key_subset_order(self, rng):
         a = _state(rng)
@@ -108,8 +115,9 @@ class TestFlatten:
         state = model.state_dict()
         flat = flatten_state(state)
         assert flat.shape == (model.num_parameters(),)
-        back = unflatten_state(flat, state)
-        model.load_state_dict(back)  # dtype/shape compatible
+        layout = StateLayout.from_state(state)
+        np.testing.assert_array_equal(flat, layout.pack(state))
+        model.load_flat(flat, layout)  # dtype/shape compatible
 
     def test_allclose_asymmetric_keys(self, rng):
         a = _state(rng)

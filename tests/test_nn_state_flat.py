@@ -23,8 +23,6 @@ from repro.fl.aggregation import (
 from repro.fl.communication import (
     decode_flat_payload,
     encode_flat_payload,
-    flat_payload_nbytes,
-    params_in_layout,
 )
 from repro.nn.models import lenet5
 from repro.nn.optim import ProximalSGD
@@ -37,6 +35,8 @@ from repro.nn.state_flat import (
     unpack_state,
 )
 from repro.core.weights import packed_weight_matrix, weight_matrix
+
+from retired import params_in_layout
 
 
 def _mixed_state(rng: np.random.Generator) -> "OrderedDict[str, np.ndarray]":
@@ -324,7 +324,7 @@ class TestFlatPayload:
         layout = StateLayout.from_model(model)
         vec = pack_state(model.state_dict(), layout)
         buf = encode_flat_payload(vec, layout)
-        assert len(buf) == flat_payload_nbytes(layout)
+        assert len(buf) == layout.n_params * layout.wire_dtype.itemsize
         assert layout.wire_dtype == np.dtype(np.float32)  # half of float64
         np.testing.assert_array_equal(decode_flat_payload(buf, layout), vec)
 

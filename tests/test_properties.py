@@ -15,16 +15,15 @@ from repro.cluster.distance import (
     pairwise_euclidean,
     validate_distance_matrix,
 )
-from repro.cluster.hierarchy import cut_by_k, linkage, merge_heights
-from repro.cluster.metrics import (
-    adjusted_rand_index,
-    normalized_mutual_information,
-    purity,
-)
+from repro.cluster.hierarchy import cut_by_k, linkage
+from repro.cluster.metrics import adjusted_rand_index
 from repro.data.partition import check_partition, dirichlet_partition, iid_partition
 from repro.fl.aggregation import weighted_average
 from repro.nn.functional import one_hot, softmax
-from repro.nn.state import flatten_state, state_allclose, unflatten_state
+from repro.nn.state import flatten_state
+from repro.nn.state_flat import StateLayout, unpack_state
+
+from retired import normalized_mutual_information, purity
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -81,7 +80,7 @@ class TestHierarchyProperties:
     @settings(max_examples=30, deadline=None)
     def test_average_linkage_monotone_heights(self, x):
         d = pairwise_euclidean(x)
-        heights = merge_heights(linkage(d, "average"))
+        heights = linkage(d, "average")[:, 2]
         assert (np.diff(heights) >= -1e-9).all()
 
     @given(
@@ -188,8 +187,12 @@ class TestStateProperties:
     @settings(max_examples=40, deadline=None)
     def test_flatten_unflatten_roundtrip(self, data):
         state = OrderedDict([("a", data), ("b", data[0])])
-        back = unflatten_state(flatten_state(state), state)
-        assert state_allclose(back, state, rtol=0, atol=1e-6)
+        layout = StateLayout.from_state(state)
+        flat = flatten_state(state)
+        np.testing.assert_array_equal(flat, layout.pack(state))
+        back = unpack_state(flat, layout)
+        for key in state:
+            np.testing.assert_array_equal(back[key], state[key])
 
 
 class TestFunctionalProperties:

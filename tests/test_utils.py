@@ -7,32 +7,30 @@ import json
 import numpy as np
 import pytest
 
-from repro.utils.logging import RoundLogger, enable_console_logging, get_logger
-from repro.utils.rng import (
-    batched_permutation,
-    check_seed_list,
-    make_rng,
-    rng_for,
-    spawn_rngs,
-    spawn_seeds,
-)
-from repro.utils.serialization import (
-    load_arrays,
-    load_json,
-    save_arrays,
-    save_json,
-    to_jsonable,
-)
+from repro.utils.logging import enable_console_logging, get_logger
+from repro.utils.rng import make_rng, rng_for, spawn_rngs
+from repro.utils.serialization import load_json, save_json, to_jsonable
 from repro.utils.tables import Table, format_mean_std, render_matrix
-from repro.utils.timer import StageTimer, Timer, profiled
 from repro.utils.validation import (
     check_array,
     check_fraction,
     check_in,
     check_non_negative,
     check_positive,
-    check_probability_vector,
     check_square_matrix,
+)
+
+from retired import (
+    RoundLogger,
+    StageTimer,
+    Timer,
+    batched_permutation,
+    check_probability_vector,
+    check_seed_list,
+    load_arrays,
+    profiled,
+    save_arrays,
+    spawn_seeds,
 )
 
 
