@@ -50,12 +50,12 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.functional import log_softmax, mask_select, one_hot, softmax
 from repro.nn.layers.activation import LeakyReLU, ReLU, Sigmoid, Tanh
 from repro.nn.layers.dropout import Dropout
 from repro.nn.layers.flatten import Flatten
 from repro.nn.layers.linear import Linear
-from repro.nn.module import Module, Sequential
+from repro.nn.module import Module, Sequential, first_param_index
 
 __all__ = [
     "CohortParam",
@@ -257,7 +257,8 @@ class BatchedLinear:
     dense per-client weights or a :class:`FactoredParam`; the bias is
     always dense (``(C, out)`` is tiny).  ``needs_input_grad=False`` on
     the first parameterised layer of a chain skips the input-gradient
-    GEMM entirely — the serial reference computes and discards it.
+    GEMM entirely, as the serial ``Linear.backward`` does under the same
+    flag.
     """
 
     def __init__(
@@ -331,7 +332,7 @@ class BatchedActivation:
         if self.kind == "relu":
             mask = x > 0
             self._cache = mask
-            return np.where(mask, x, 0)
+            return mask_select(x, mask)
         if self.kind == "leaky_relu":
             mask = x > 0
             self._cache = mask
@@ -354,7 +355,7 @@ class BatchedActivation:
             raise RuntimeError("backward called before forward")
         self._cache = None
         if self.kind == "relu":
-            return np.where(cache, go, 0)
+            return mask_select(go, cache)
         if self.kind == "leaky_relu":
             return np.where(cache, go, self.negative_slope * go)
         if self.kind == "tanh":
@@ -460,9 +461,12 @@ class BatchedSequential:
     """Lockstep mirror of a :class:`~repro.nn.module.Sequential` chain.
 
     Built by :func:`build_batched`; ``forward``/``backward`` mirror the
-    serial chain with the extra client axis, and ``backward`` stops at
-    the first parameterised layer (nothing upstream consumes the input
-    gradient).
+    serial chain with the extra client axis.  ``backward`` follows the
+    one rule the serial trainer's ``Sequential.backward(...,
+    needs_input_grad=False)`` follows: it stops at the first
+    parameterised layer (:func:`repro.nn.module.first_param_index`),
+    which accumulates its parameter gradients and skips its input
+    gradient, since nothing upstream reads it.
     """
 
     def __init__(self, layers: Sequence, first_param_index: int) -> None:
@@ -731,8 +735,10 @@ def build_batched(
         ).astype(dtype)
         return param
 
+    first = first_param_index([child for _, child in named])
+    if first is None:
+        raise ValueError("model has no parameterised layer")
     layers: list = []
-    first_param_index: int | None = None
     for index, (name, child) in enumerate(named):
         if isinstance(child, Linear):
             wkey = f"{name}.weight"
@@ -749,12 +755,7 @@ def build_batched(
             else:
                 weight = dense_param(wkey)
             bias = dense_param(f"{name}.bias") if child.has_bias else None
-            if first_param_index is None:
-                first_param_index = index
-                needs_input_grad = False
-            else:
-                needs_input_grad = True
-            layers.append(BatchedLinear(weight, bias, needs_input_grad))
+            layers.append(BatchedLinear(weight, bias, index != first))
         elif isinstance(child, ReLU):
             layers.append(BatchedActivation("relu"))
         elif isinstance(child, LeakyReLU):
@@ -776,9 +777,7 @@ def build_batched(
             layers.append(BatchedFlatten())
         else:  # pragma: no cover - batchable_layers already filtered
             raise AssertionError(f"unhandled layer {type(child).__name__}")
-    if first_param_index is None:
-        raise ValueError("model has no parameterised layer")
-    return BatchedSequential(layers, first_param_index), plane
+    return BatchedSequential(layers, first), plane
 
 
 def flush_cohort(

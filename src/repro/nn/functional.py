@@ -19,6 +19,7 @@ __all__ = [
     "sliding_windows",
     "im2col",
     "col2im",
+    "mask_select",
     "softmax",
     "log_softmax",
     "one_hot",
@@ -123,6 +124,23 @@ def col2im(
     if padding == 0:
         return dx_padded
     return dx_padded[:, :, padding : padding + h, padding : padding + w]
+
+
+def mask_select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``values`` where ``mask`` is set, ``+0`` elsewhere (the ReLU kernel).
+
+    Bit-identical to ``np.where(mask, values, 0)`` on every input —
+    ``-0.0``, NaN, ±inf and subnormals included, in the same memory
+    layout — but for float dtypes it multiplies the same-width integer
+    view by the bool mask instead: an unmasked element keeps its exact
+    bits and a masked one becomes all-zero bits, i.e. ``+0.0``.  That
+    is an order of magnitude faster than ``np.where`` with a scalar
+    operand.  Other dtypes take ``np.where`` itself.
+    """
+    if values.dtype.kind != "f" or values.dtype.itemsize not in (2, 4, 8):
+        return np.where(mask, values, 0)
+    bits = np.dtype(f"i{values.dtype.itemsize}")
+    return (values.view(bits) * mask).view(values.dtype)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

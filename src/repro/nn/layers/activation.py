@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.nn.functional import mask_select
 from repro.nn.module import Module
 
 __all__ = ["ReLU", "LeakyReLU", "Tanh", "Sigmoid"]
@@ -18,12 +19,12 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0)
+        return mask_select(x, self._mask)
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
-        grad = np.where(self._mask, grad_output, 0)
+        grad = mask_select(grad_output, self._mask)
         self._mask = None
         return grad
 

@@ -36,7 +36,10 @@ class Conv2d(Module):
     bank — the standard im2col strategy that keeps the hot path inside
     BLAS.  The backward pass is the exact adjoint: a matmul for the filter
     gradient and a :func:`repro.nn.functional.col2im` scatter-add for the
-    input gradient.
+    input gradient.  ``backward(..., needs_input_grad=False)`` — what a
+    training step asks of a network's first convolution — stops after the
+    filter and bias gradients and returns ``None``, skipping the input
+    gradient's GEMM and ``col2im``.
 
     Parameters
     ----------
@@ -51,6 +54,8 @@ class Conv2d(Module):
     bias:
         Add a per-channel bias (default ``True``).
     """
+
+    skips_input_grad = True
 
     def __init__(
         self,
@@ -186,27 +191,29 @@ class Conv2d(Module):
             )
         return out.transpose(0, 3, 1, 2)
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, needs_input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called before forward")
-        n, _, out_h, out_w = grad_output.shape
+        cols, x_shape = self._cols, self._x_shape
+        self._cols = None
+        self._x_shape = None
         # (N, F, OH, OW) -> (N*OH*OW, F), matching the forward column layout.
         grad_flat = grad_output.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        flat_w = self.weight.data.reshape(self.out_channels, -1)
         self.weight.accumulate_grad(
-            (grad_flat.T @ self._cols).reshape(self.weight.data.shape)
+            (grad_flat.T @ cols).reshape(self.weight.data.shape)
         )
         if self.has_bias:
             self.bias.accumulate_grad(grad_flat.sum(axis=0))
-        dcols = grad_flat @ flat_w
-        dx = col2im(
+        if not needs_input_grad:
+            return None
+        dcols = grad_flat @ self.weight.data.reshape(self.out_channels, -1)
+        return col2im(
             dcols,
-            self._x_shape,
+            x_shape,
             self.kernel_size,
             self.kernel_size,
             self.stride,
             self.padding,
         )
-        self._cols = None
-        self._x_shape = None
-        return dx

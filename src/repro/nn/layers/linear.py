@@ -17,6 +17,8 @@ class Linear(Module):
     Weights are ``(out_features, in_features)``.  The final ``Linear`` of a
     classification model is the "classifier layer" whose weights FedClust
     uploads for clustering (see :mod:`repro.core.weights`).
+    ``backward(..., needs_input_grad=False)`` skips the ``grad @ W``
+    input gradient and returns ``None``.
 
     Parameters
     ----------
@@ -33,6 +35,8 @@ class Linear(Module):
         Parameter dtype; ``float32`` matches the 4-byte-per-parameter
         communication model in :mod:`repro.fl.communication`.
     """
+
+    skips_input_grad = True
 
     _INITS = {
         "kaiming_uniform": init_fns.kaiming_uniform,
@@ -82,7 +86,9 @@ class Linear(Module):
             out += self.bias.data
         return out
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
+    def backward(
+        self, grad_output: np.ndarray, needs_input_grad: bool = True
+    ) -> np.ndarray | None:
         if self._input is None:
             raise RuntimeError("backward called before forward")
         x = self._input
@@ -90,4 +96,6 @@ class Linear(Module):
         if self.has_bias:
             self.bias.accumulate_grad(grad_output.sum(axis=0))
         self._input = None
+        if not needs_input_grad:
+            return None
         return grad_output @ self.weight.data

@@ -14,6 +14,12 @@ Design notes
   gradients.  For the fixed feed-forward architectures this library needs
   (LeNet-5, MLPs, VGG-style stacks), this is simpler, faster, and easier
   to verify with numerical gradient checks than a tape-based autograd.
+* **Skip what nobody reads.**  A training step never reads the
+  gradient with respect to the input images, so a chain's backward stops
+  at its first parameterised layer (:func:`first_param_index`): that
+  layer accumulates its parameter gradients and, when it supports it
+  (``skips_input_grad``), skips its own input gradient too.  The default
+  ``backward`` still returns the input gradient.
 * **Caching contract.**  ``backward`` must be called right after the
   ``forward`` whose intermediate values it consumes.  The training loop in
   :mod:`repro.fl.client` honours this; the tests enforce it.
@@ -22,17 +28,34 @@ Design notes
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.nn.parameter import Parameter
 
-__all__ = ["Module", "Sequential"]
+__all__ = ["Module", "Sequential", "first_param_index"]
+
+
+def first_param_index(layers: Sequence["Module"]) -> int | None:
+    """Index of the first layer that owns parameters, ``None`` if none does.
+
+    A training backward needs no gradient upstream of this layer — the
+    one rule both :meth:`Sequential.backward` and
+    :func:`repro.nn.batched.build_batched` stop at.
+    """
+    for index, layer in enumerate(layers):
+        if layer.parameters():
+            return index
+    return None
 
 
 class Module:
     """Base class for layers and models."""
+
+    #: ``backward`` accepts ``needs_input_grad=False``: it then accumulates
+    #: the parameter gradients only and returns ``None``.
+    skips_input_grad = False
 
     def __init__(self) -> None:
         object.__setattr__(self, "_parameters", OrderedDict())
@@ -61,7 +84,9 @@ class Module:
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Propagate ``grad_output`` and accumulate parameter gradients.
 
-        Returns the gradient with respect to this module's input.
+        Returns the gradient with respect to this module's input — or
+        ``None`` when a module with ``skips_input_grad`` is called with
+        ``needs_input_grad=False``.
         """
         raise NotImplementedError
 
@@ -200,8 +225,12 @@ class Sequential(Module):
 
     Children may be given explicitly as ``(name, module)`` pairs, or
     anonymously (named by index).  ``backward`` replays the chain in
-    reverse, matching the manual-backprop caching contract.
+    reverse, matching the manual-backprop caching contract; with
+    ``needs_input_grad=False`` it stops at the first parameterised layer
+    and returns ``None``.
     """
+
+    skips_input_grad = True
 
     def __init__(self, *layers: Module | tuple[str, Module]) -> None:
         super().__init__()
@@ -218,6 +247,7 @@ class Sequential(Module):
             self._modules[name] = module
             object.__setattr__(self, f"_layer_{name}", module)
             self._order.append(name)
+        self._first_param = first_param_index(self.layers())
 
     def __len__(self) -> int:
         return len(self._order)
@@ -236,10 +266,24 @@ class Sequential(Module):
             x = self._modules[name].forward(x)
         return x
 
-    def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for name in reversed(self._order):
-            grad_output = self._modules[name].backward(grad_output)
-        return grad_output
+    def backward(
+        self, grad_output: np.ndarray, needs_input_grad: bool = True
+    ) -> np.ndarray | None:
+        if needs_input_grad:
+            for name in reversed(self._order):
+                grad_output = self._modules[name].backward(grad_output)
+            return grad_output
+        if self._first_param is None:
+            return None
+        layers = self.layers()
+        for layer in reversed(layers[self._first_param + 1 :]):
+            grad_output = layer.backward(grad_output)
+        first = layers[self._first_param]
+        if first.skips_input_grad:
+            first.backward(grad_output, needs_input_grad=False)
+        else:
+            first.backward(grad_output)
+        return None
 
     def train(self) -> "Sequential":
         object.__setattr__(self, "training", True)

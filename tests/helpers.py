@@ -1,5 +1,5 @@
 """Shared test utilities: numerical gradient checking, a cophenetic-distance
-oracle and event-log views.
+oracle, the ReLU-select oracle and event-log views.
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -97,6 +97,15 @@ def check_module_gradients(
             analytic, numeric, rtol=rtol, atol=atol,
             err_msg=f"parameter gradient mismatch for {name}",
         )
+
+
+def where_select(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Reference ReLU select: ``values`` where ``mask``, else ``0``.
+
+    The oracle for :func:`repro.nn.functional.mask_select`, which must
+    match it bit for bit on every input.
+    """
+    return np.where(mask, values, 0)
 
 
 def to_float64(module: Module) -> Module:

@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.nn.layers.conv as conv_module
+from repro.data.synthetic import make_dataset
+from repro.fl.client import local_train
+from repro.fl.config import TrainConfig
 from repro.nn.layers import Dropout, Linear, ReLU
-from repro.nn.module import Module, Sequential
+from repro.nn.models import Residual, available_models, build_model, lenet5
+from repro.nn.module import Module, Sequential, first_param_index
 from repro.nn.parameter import Parameter
 
 
@@ -151,3 +156,67 @@ class TestCustomModule:
         assert names == ["w", "inner.weight", "inner.bias"]
         mods = dict(module.named_modules())
         assert "" in mods and "inner" in mods
+
+
+def _grad_bytes(model: Module) -> list[bytes]:
+    return [p.grad.tobytes() for p in model.parameters()]
+
+
+class TestSkipInputGrad:
+    """``backward(..., needs_input_grad=False)``: the training step's backward."""
+
+    @pytest.mark.parametrize("name", available_models())
+    def test_parameter_grads_identical_and_none_returned(self, name, rng):
+        model = build_model(name, (3, 32, 32), 4, rng)
+        x = rng.standard_normal((2, 3, 32, 32)).astype(np.float32)
+        probe = rng.standard_normal((2, 4)).astype(np.float32)
+
+        model.zero_grad()
+        model.forward(x)
+        assert model.backward(probe.copy()).shape == x.shape
+        reference = _grad_bytes(model)
+
+        model.zero_grad()
+        model.forward(x)
+        assert model.backward(probe.copy(), needs_input_grad=False) is None
+        assert _grad_bytes(model) == reference
+
+    def test_first_param_index_skips_parameterless_layers(self, rng):
+        layers = [Dropout(0.0, rng), ReLU(), Linear(4, 3, rng), Linear(3, 2, rng)]
+        assert first_param_index(layers) == 2
+        assert first_param_index([ReLU(), Dropout(0.0, rng)]) is None
+
+    def test_first_layer_of_another_type_gets_plain_backward(self, rng):
+        body = Sequential(("fc", Linear(4, 4, rng)))
+        model = Sequential(("res", Residual(body)), ("head", Linear(4, 2, rng)))
+        model.forward(rng.standard_normal((5, 4)).astype(np.float32))
+        assert model.backward(np.ones((5, 2), np.float32), needs_input_grad=False) is None
+        assert np.any(body[0].weight.grad != 0)
+
+    def test_nested_chain_takes_the_flag(self, rng):
+        inner = Sequential(("fc", Linear(4, 3, rng)), ("act", ReLU()))
+        model = Sequential(("inner", inner), ("head", Linear(3, 2, rng)))
+        model.forward(rng.standard_normal((5, 4)).astype(np.float32))
+        assert model.backward(np.ones((5, 2), np.float32), needs_input_grad=False) is None
+        assert np.any(inner[0].weight.grad != 0)
+
+    def test_parameterless_chain_runs_nothing(self):
+        assert Sequential(ReLU()).backward(np.ones(3), needs_input_grad=False) is None
+
+    def test_local_train_runs_col2im_for_conv2_only(self, rng, monkeypatch):
+        calls: list[tuple[int, ...]] = []
+        original = conv_module.col2im
+
+        def counting_col2im(dcols, x_shape, *args):
+            calls.append(tuple(x_shape))
+            return original(dcols, x_shape, *args)
+
+        monkeypatch.setattr(conv_module, "col2im", counting_col2im)
+        model = lenet5((3, 32, 32), 10, rng)
+        data = make_dataset("cifar10_like", 24, 0)
+        cfg = TrainConfig(local_epochs=1, batch_size=8)
+        _, n_batches = local_train(model, data, cfg, np.random.default_rng(0))
+        assert n_batches == 3
+        # One call per step, on conv2's (N, 6, 14, 14) input; never on
+        # conv1's input images.
+        assert calls == [(8, 6, 14, 14)] * n_batches
