@@ -1,17 +1,15 @@
 """Grouped-vs-per-client evaluation benchmark (``BENCH_eval.json``).
 
 Times the Table-I metric at clustered-FL scale — 64 clients served by 4
-cluster models — three ways:
+cluster models — two ways:
 
 * **per-client loop** (:func:`repro.fl.evaluation.mean_local_accuracy`):
   the reference protocol, one state load + one serial batch loop per
   client;
-* **grouped (dict states)** (:func:`repro.fl.eval_flat.evaluate_grouped`):
-  each cluster model loaded once, members' splits fused into shared
-  batches, per-client stats by segment reduction;
 * **grouped (packed rows)** (:func:`repro.fl.eval_flat.evaluate_packed`):
-  the same, consuming the cluster models as rows of a packed
-  ``(k, n_params)`` matrix — the form clustered algorithms hold anyway.
+  each cluster model, a row of a packed ``(k, n_params)`` matrix, loaded
+  once, members' splits fused into shared batches, per-client stats by
+  segment reduction.
 
 Writes ``BENCH_eval.json`` at the repo root (grouped-vs-loop timings,
 speedups, and the accuracy bit-identity flag) so the perf trajectory of
@@ -30,7 +28,7 @@ import numpy as np
 
 from repro.data.synthetic import make_dataset
 from repro.fl.config import TrainConfig
-from repro.fl.eval_flat import evaluate_grouped, evaluate_packed
+from repro.fl.eval_flat import evaluate_packed
 from repro.fl.evaluation import mean_local_accuracy
 from repro.fl.simulation import FederatedEnv
 from repro.nn.state_flat import pack_states
@@ -95,7 +93,7 @@ def run_grouped_vs_loop(
     model_kwargs: dict | None = None,
     out_path: str | Path | None = None,
 ) -> dict:
-    """Time the per-client loop vs the grouped/fused eval paths.
+    """Time the per-client loop vs the grouped/fused eval path.
 
     Cluster models are ``n_clusters`` perturbations of the environment's
     init state; clients are assigned round-robin, so each model serves
@@ -137,21 +135,12 @@ def run_grouped_vs_loop(
         ),
         reps=5,
     )
-    grouped_ms = _time_ms(
-        lambda: evaluate_grouped(
-            env.scratch_model, cluster_states, labels, testsets, batch_size=batch
-        ),
-        reps=9,
-    )
     packed_ms = _time_ms(
         lambda: evaluate_packed(env, matrix, labels, batch_size=batch), reps=9
     )
 
     _, loop_acc = mean_local_accuracy(
         env.scratch_model, states_per_client, testsets, batch_size=batch
-    )
-    _, grouped_acc = evaluate_grouped(
-        env.scratch_model, cluster_states, labels, testsets, batch_size=batch
     )
     _, packed_acc = evaluate_packed(env, matrix, labels, batch_size=batch)
 
@@ -168,15 +157,10 @@ def run_grouped_vs_loop(
         "test_samples_total": n_test_total,
         "eval_batch_size": batch,
         "per_client_loop_ms": round(loop_ms, 3),
-        "grouped_ms": round(grouped_ms, 3),
         "packed_ms": round(packed_ms, 3),
-        "speedup_grouped": round(loop_ms / grouped_ms, 2),
         "speedup_packed": round(loop_ms / packed_ms, 2),
         # Per-client accuracies: fused vs serial reference, bit for bit.
-        "bit_identical": bool(
-            np.array_equal(loop_acc, grouped_acc)
-            and np.array_equal(loop_acc, packed_acc)
-        ),
+        "bit_identical": bool(np.array_equal(loop_acc, packed_acc)),
     }
     if out_path is not None:
         Path(out_path).write_text(json.dumps(record, indent=2) + "\n")
@@ -217,13 +201,6 @@ if pytest is not None:
         )
 
     @pytest.mark.benchmark(group="evaluation")
-    def test_bench_eval_grouped(benchmark, eval_setup):
-        env, states, labels, testsets = eval_setup
-        benchmark(
-            evaluate_grouped, env.scratch_model, states, labels, testsets, 512
-        )
-
-    @pytest.mark.benchmark(group="evaluation")
     def test_bench_eval_packed(benchmark, eval_setup):
         env, states, labels, testsets = eval_setup
         matrix, _ = pack_states(states, env.layout)
@@ -248,9 +225,7 @@ if __name__ == "__main__":
         for k in (
             "model",
             "per_client_loop_ms",
-            "grouped_ms",
             "packed_ms",
-            "speedup_grouped",
             "speedup_packed",
             "bit_identical",
         )

@@ -5,9 +5,7 @@ from repro.algorithms.base import (
     FLAlgorithm,
     GlobalModelRounds,
     RunResult,
-    evaluate_assignment,
     fedavg_round_flat,
-    run_clustered_training,
 )
 from repro.algorithms.cfl import CFL
 from repro.algorithms.fedavg import FedAvg
@@ -26,9 +24,7 @@ __all__ = [
     "FLAlgorithm",
     "GlobalModelRounds",
     "RunResult",
-    "evaluate_assignment",
     "fedavg_round_flat",
-    "run_clustered_training",
     "CFL",
     "FedAvg",
     "FedProx",

@@ -38,7 +38,6 @@ from repro.fl.rounds import (
 )
 from repro.fl.simulation import FederatedEnv
 from repro.fl.store import tiered_weighted_average
-from repro.nn.state_flat import unpack_state
 
 __all__ = [
     "RunResult",
@@ -50,8 +49,6 @@ __all__ = [
     "survivor_mean_loss",
     "survivor_weighted_average",
     "tasks_for_groups",
-    "evaluate_assignment",
-    "run_clustered_training",
 ]
 
 
@@ -80,19 +77,10 @@ def tasks_for_groups(
     return tasks
 
 
-def cohort_matrix(env: FederatedEnv, updates: Sequence) -> np.ndarray:
-    """Stack a round's client updates into one ``(m, n_params)`` matrix.
-
-    Uses each update's ``flat`` vector (populated by every executor);
-    updates built by hand without one are packed here, so external
-    executors that only fill ``state`` still work.
-    """
-    return np.stack(
-        [
-            u.flat if u.flat is not None else env.layout.pack(u.state)
-            for u in updates
-        ]
-    )
+def cohort_matrix(updates: Sequence[ClientUpdate]) -> np.ndarray:
+    """Stack a round's client updates' ``flat`` rows into one
+    ``(m, n_params)`` matrix."""
+    return np.stack([u.flat for u in updates])
 
 
 def survivor_mean_loss(survivors: Sequence[ClientUpdate]) -> float:
@@ -154,10 +142,10 @@ def survivor_weighted_average(
     store_config = getattr(env, "store_config", None)
     if robust_agg == "none" and store_config is not None and store_config.edge_size > 0:
         return tiered_weighted_average(
-            cohort_matrix(env, live), live_weights, store_config.edge_size
+            cohort_matrix(live), live_weights, store_config.edge_size
         )
     return robust_weighted_average(
-        cohort_matrix(env, live), live_weights, robust_agg, trim_fraction
+        cohort_matrix(live), live_weights, robust_agg, trim_fraction
     )
 
 
@@ -409,64 +397,7 @@ def fedavg_round_flat(
     # Aggregate on the flat plane: one GEMV over the stacked updates
     # instead of a per-key loop over state dicts.
     new_vector = packed_weighted_average(
-        cohort_matrix(env, updates), [u.n_samples for u in updates]
+        cohort_matrix(updates), [u.n_samples for u in updates]
     )
     mean_loss = float(np.mean([u.mean_loss for u in updates]))
     return env.layout.round_trip(new_vector), mean_loss, updates
-
-
-def evaluate_assignment(
-    env: FederatedEnv,
-    cluster_states: Sequence[Mapping[str, np.ndarray]],
-    labels: np.ndarray,
-) -> tuple[float, np.ndarray]:
-    """Mean local accuracy when each client is served its cluster model.
-
-    Grouped evaluation: each cluster model is loaded once and its
-    members' test splits share forward batches (no per-client state
-    list is ever expanded).
-    """
-    return env.evaluate_assignment(cluster_states, labels)
-
-
-def run_clustered_training(
-    env: FederatedEnv,
-    labels: np.ndarray,
-    cluster_states: list[dict[str, np.ndarray]],
-    history: RunHistory,
-    n_rounds: int,
-    first_round: int,
-    eval_every: int = 1,
-    client_fraction: float = 1.0,
-    scenario: ScenarioConfig | None = None,
-    engine: RoundEngine | None = None,
-) -> tuple[list[dict[str, np.ndarray]], float, np.ndarray]:
-    """Per-cluster FedAvg for rounds ``first_round .. first_round+n_rounds-1``.
-
-    Used by the one-shot methods after their clustering step; a thin
-    wrapper that runs :class:`ClusteredRounds` on the round engine.
-    Returns the final cluster states and the last evaluation (mean,
-    per-client vector).  The dict states in ``cluster_states`` are
-    packed once on entry and unpacked once on return — numbers match
-    the historical per-round dict cycle exactly.
-
-    ``client_fraction`` is legacy sugar for
-    ``ScenarioConfig(client_fraction=...)``; an explicit ``scenario``
-    (or a ready ``engine``) takes precedence.  Sampling is engine-level
-    — a fraction of all clients per round, not a fraction of each
-    cluster — so a small cluster can sit a round out entirely (it then
-    keeps its model).
-    """
-    if engine is None:
-        if scenario is None:
-            scenario = ScenarioConfig(client_fraction=client_fraction)
-        engine = RoundEngine(env, scenario)
-    matrix = np.stack([env.layout.pack(state) for state in cluster_states])
-    strategy = ClusteredRounds(matrix, np.asarray(labels))
-    mean_acc, per_client = engine.run(
-        strategy, n_rounds, history, first_round=first_round, eval_every=eval_every
-    )
-    final_states = [
-        dict(unpack_state(row, env.layout)) for row in strategy.matrix
-    ]
-    return final_states, mean_acc, per_client

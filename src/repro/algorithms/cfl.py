@@ -127,7 +127,7 @@ class _CFLRounds(RoundStrategy):
                 next_clusters.append(cluster)  # dark cluster keeps its model
                 continue
             incoming = cluster.state
-            cohort = cohort_matrix(env, mine)
+            cohort = cohort_matrix(mine)
             averaged = survivor_weighted_average(env, mine, **engine.robust_kwargs)
             new_state = (
                 incoming if averaged is None else env.layout.round_trip(averaged)

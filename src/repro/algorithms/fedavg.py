@@ -12,15 +12,12 @@ FedAvg is the engine driving :class:`repro.algorithms.base.GlobalModelRounds`.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.algorithms.base import FLAlgorithm, GlobalModelRounds, RunResult
 from repro.fl.history import RunHistory
 from repro.fl.rounds import RoundEngine, ScenarioConfig
 from repro.fl.simulation import FederatedEnv
-from repro.utils.validation import check_fraction
 
 __all__ = ["FedAvg"]
 
@@ -28,44 +25,14 @@ __all__ = ["FedAvg"]
 class FedAvg(FLAlgorithm):
     """Single-global-model federated averaging.
 
-    Parameters
-    ----------
-    client_fraction:
-        Fraction ``C`` of clients sampled per round (1.0 = full
-        participation, the paper-scale default).  Legacy sugar for
-        ``ScenarioConfig(client_fraction=...)``: a ``scenario`` passed
-        to :meth:`run` that leaves participation at its default merges
-        with this value; setting a *different* fraction in both places
-        is a loud configuration error.
+    Participation is scenario policy: sample a fraction of clients per
+    round through ``ScenarioConfig(client_fraction=...)``.
     """
 
     name = "fedavg"
 
-    def __init__(self, client_fraction: float = 1.0) -> None:
-        self.client_fraction = check_fraction("client_fraction", client_fraction)
-
     #: Proximal coefficient; 0 for FedAvg, overridden by FedProx.
     prox_mu: float = 0.0
-
-    def _scenario(self, scenario: ScenarioConfig | None) -> ScenarioConfig:
-        if scenario is None:
-            return ScenarioConfig(client_fraction=self.client_fraction)
-        if self.client_fraction >= 1.0:
-            return scenario
-        if scenario.client_fraction >= 1.0:
-            # A scenario that leaves participation at its default merges
-            # with the constructor fraction — adding failure injection
-            # must not silently revert a configured C to 1.0.
-            return dataclasses.replace(
-                scenario, client_fraction=self.client_fraction
-            )
-        if scenario.client_fraction != self.client_fraction:
-            raise ValueError(
-                "conflicting client fractions: constructor set "
-                f"{self.client_fraction}, scenario set "
-                f"{scenario.client_fraction} — configure it in one place"
-            )
-        return scenario
 
     def run(
         self,

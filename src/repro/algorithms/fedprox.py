@@ -30,13 +30,10 @@ class FedProx(FedAvg):
     mu:
         Proximal coefficient (paper-standard grid is {0.001 .. 1}; 0.1 is
         a common default for severe heterogeneity).
-    client_fraction:
-        As in FedAvg.
     """
 
     name = "fedprox"
 
-    def __init__(self, mu: float = 0.1, client_fraction: float = 1.0) -> None:
-        super().__init__(client_fraction=client_fraction)
+    def __init__(self, mu: float = 0.1) -> None:
         check_non_negative("mu", mu)
         self.prox_mu = float(mu)

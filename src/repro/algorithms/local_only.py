@@ -64,25 +64,19 @@ class _LocalRounds(RoundStrategy):
     ) -> float:
         if not survivors:
             return float("nan")
-        layout = engine.env.layout
         for update in survivors:
-            row = (
-                update.flat
-                if update.flat is not None
-                else layout.pack(update.state)
-            )
-            self.store.set(update.client_id, row)
+            self.store.set(update.client_id, update.flat)
         return survivor_mean_loss(survivors)
 
     def evaluate(
         self, engine: RoundEngine, round_index: int
     ) -> tuple[float, np.ndarray]:
         # Worst case for grouped eval — every client has its own model,
-        # so identity-dedup finds m singleton groups and the compat view
-        # degenerates to the per-client loop.  O(population): the
-        # population-scale bench overrides this hook.
+        # so each row serves a group of one and the fused path degenerates
+        # to the per-client loop.  O(population): the population-scale
+        # bench overrides this hook.
         return engine.env.mean_local_accuracy(
-            [self.store.state_view(cid) for cid in range(self.store.n_clients)]
+            self.store.rows(range(self.store.n_clients))
         )
 
     def current_n_clusters(self) -> int:
@@ -98,9 +92,9 @@ class _LocalRounds(RoundStrategy):
         return {"store": meta}, arrays
 
     def restore_payload(self, engine: RoundEngine, meta, arrays) -> None:
-        # Cross-kind and legacy-compatible: checkpoints written before
-        # the store carried a bare dense matrix and no store meta.
-        self.store.restore_from(meta.get("store", {}), arrays)
+        # Cross-kind: a dense checkpoint restores into a sharded store
+        # and vice versa.
+        self.store.restore_from(meta["store"], arrays)
 
 
 class LocalOnly(FLAlgorithm):

@@ -20,12 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import (
-    FLAlgorithm,
-    RunResult,
-    evaluate_assignment,
-    run_clustered_training,
-)
+from repro.algorithms.base import ClusteredRounds, FLAlgorithm, RunResult
 from repro.cluster.hierarchy import auto_cut_gap, cut_by_distance, cut_by_k, linkage
 from repro.cluster.subspace import data_subspace, pairwise_subspace_distances
 from repro.fl.history import RoundRecord, RunHistory
@@ -114,11 +109,12 @@ class PACFL(FLAlgorithm):
         # front; scenario policy shapes the training rounds that follow.
         labels, proximity = self.cluster_clients(env)
         n_clusters = int(labels.max()) + 1
-        init = env.init_state()
-        cluster_states = [
-            {k: v.copy() for k, v in init.items()} for _ in range(n_clusters)
-        ]
-        mean_acc, _ = evaluate_assignment(env, cluster_states, labels)
+        # Every cluster starts from the initial model: one packed row per
+        # cluster, trained in place by per-cluster FedAvg.
+        strategy = ClusteredRounds(
+            np.tile(env.layout.pack(env.init_state()), (n_clusters, 1)), labels
+        )
+        mean_acc, _ = env.evaluate_packed(strategy.matrix, labels)
         history.append(
             RoundRecord(
                 round_index=1,
@@ -131,15 +127,8 @@ class PACFL(FLAlgorithm):
             )
         )
 
-        cluster_states, mean_acc, per_client = run_clustered_training(
-            env,
-            labels,
-            cluster_states,
-            history,
-            n_rounds=n_rounds - 1,
-            first_round=2,
-            eval_every=eval_every,
-            engine=engine,
+        mean_acc, per_client = engine.run(
+            strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
         )
         return RunResult(
             history=history,

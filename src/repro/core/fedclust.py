@@ -249,21 +249,9 @@ class _FedClustRounds(ClusteredRounds):
         env = engine.env
         for cid in arrived:
             cid = int(cid)
-            env.tracker.record_download(env.n_params, phase="newcomer")
-            model = env.scratch_model
-            model.load_state_dict(self.fitted.init_state)
-            cfg = self.algo.config.warmup_train_cfg(env.train_cfg)
-            local_train(
-                model,
-                env.federation.clients[cid].train,
-                cfg,
-                rng_for(env.seed, _NEWCOMER_TAG, cid),
+            assignment = self.algo.match_newcomer(
+                env, self.fitted, env.federation.clients[cid].train, cid
             )
-            vector = flatten_state(
-                model.state_dict(copy=False), self.fitted.selection_keys
-            )
-            env.tracker.record_upload(vector.shape[0], phase="newcomer")
-            assignment = self.fitted.assign_newcomer_vector(vector)
             self.set_label(cid, assignment.cluster)
             self.onboarded[cid] = assignment
 
@@ -352,7 +340,7 @@ class FedClust(FLAlgorithm):
         # flatten.  (Materialised with a copy so retaining it in
         # FittedFedClust does not pin the full cohort buffer.)
         updates = [updates_by_client[cid] for cid in responders]
-        cohort = cohort_matrix(env, updates)
+        cohort = cohort_matrix(updates)
         w = np.ascontiguousarray(
             packed_weight_matrix(cohort, env.layout, selection)
         )
@@ -425,9 +413,10 @@ class FedClust(FLAlgorithm):
             if int(r) > 1
         ]
         fitted = self.clustering_round(env, round_index=1, engine=engine, absent=absent)
-        # Grouped Table-I eval: each cluster model is loaded once and its
+        matrix = np.stack([env.layout.pack(s) for s in fitted.cluster_states])
+        # Grouped Table-I eval: each cluster row is loaded once and its
         # members' test splits share fused batches (repro.fl.eval_flat).
-        mean_acc, _ = env.evaluate_assignment(fitted.cluster_states, fitted.labels)
+        mean_acc, _ = env.evaluate_packed(matrix, fitted.labels)
         history.append(
             RoundRecord(
                 round_index=1,
@@ -440,7 +429,6 @@ class FedClust(FLAlgorithm):
             )
         )
 
-        matrix = np.stack([env.layout.pack(s) for s in fitted.cluster_states])
         strategy = _FedClustRounds(self, fitted, matrix)
         mean_acc, per_client = engine.run(
             strategy, n_rounds - 1, history, first_round=2, eval_every=eval_every
@@ -468,6 +456,34 @@ class FedClust(FLAlgorithm):
     # ------------------------------------------------------------------
     # Step ⑥: newcomers
     # ------------------------------------------------------------------
+    def match_newcomer(
+        self,
+        env: FederatedEnv,
+        fitted: FittedFedClust,
+        train_dataset: ArrayDataset,
+        newcomer_id: int,
+    ) -> NewcomerAssignment:
+        """Warm up a newcomer and match its partial weights (step ⑥).
+
+        The newcomer downloads the *initial* global model, trains the same
+        warm-up the clustering round used (on its own
+        ``rng_for(seed, _NEWCOMER_TAG, newcomer_id)`` stream), uploads its
+        selected partial weights, and is matched against the retained
+        weight matrix.
+        """
+        env.tracker.record_download(env.n_params, phase="newcomer")
+        model = env.scratch_model
+        model.load_state_dict(fitted.init_state)
+        local_train(
+            model,
+            train_dataset,
+            self.config.warmup_train_cfg(env.train_cfg),
+            rng_for(env.seed, _NEWCOMER_TAG, newcomer_id),
+        )
+        vector = flatten_state(model.state_dict(copy=False), fitted.selection_keys)
+        env.tracker.record_upload(vector.shape[0], phase="newcomer")
+        return fitted.assign_newcomer_vector(vector)
+
     def incorporate_newcomer(
         self,
         env: FederatedEnv,
@@ -477,24 +493,10 @@ class FedClust(FLAlgorithm):
     ) -> tuple[NewcomerAssignment, Mapping[str, np.ndarray]]:
         """Onboard a new client in real time.
 
-        The newcomer downloads the *initial* global model, trains the same
-        warm-up epochs the clustering round used, uploads its partial
-        weights, and is matched against the retained weight matrix.
-        Returns the assignment plus the cluster model it should now use.
+        Runs :meth:`match_newcomer`, then hands the newcomer the cluster
+        model it should now use.  Returns the assignment plus that model.
         """
-        env.tracker.record_download(env.n_params, phase="newcomer")
-        model = env.scratch_model
-        model.load_state_dict(fitted.init_state)
-        cfg = self.config.warmup_train_cfg(env.train_cfg)
-        local_train(
-            model,
-            train_dataset,
-            cfg,
-            rng_for(env.seed, _NEWCOMER_TAG, newcomer_id),
-        )
-        vector = flatten_state(model.state_dict(copy=False), fitted.selection_keys)
-        env.tracker.record_upload(vector.shape[0], phase="newcomer")
-        assignment = fitted.assign_newcomer_vector(vector)
+        assignment = self.match_newcomer(env, fitted, train_dataset, newcomer_id)
         if fitted.cluster_states:
             env.tracker.record_download(env.n_params, phase="newcomer")
             serving_state = fitted.cluster_states[assignment.cluster]

@@ -176,19 +176,19 @@ def run_weight_ablation(
     from repro.core.fedclust import resolve_selection_keys
     from repro.fl.parallel import UpdateTask
 
-    init = env.init_state()
+    init = env.layout.pack(env.init_state())
     warm_cfg = algo.config.warmup_train_cfg(env.train_cfg)
     original = env.train_cfg
     env.train_cfg = warm_cfg
     try:
         updates = env.run_updates(
-            [UpdateTask(cid, init) for cid in range(federation.n_clients)], 1
+            [UpdateTask(cid, flat=init) for cid in range(federation.n_clients)], 1
         )
     finally:
         env.train_cfg = original
     updates.sort(key=lambda u: u.client_id)
     # One packed cohort; each selection is a column slice of it.
-    cohort = cohort_matrix(env, updates)
+    cohort = cohort_matrix(updates)
 
     result = WeightAblationResult()
     for selection in selections:

@@ -109,13 +109,13 @@ def run_fig1(
             f"({n_layers} weighted layers)"
         )
 
-    init = env.init_state()
+    init = env.layout.pack(env.init_state())
     updates = env.run_updates(
-        [UpdateTask(cid, init) for cid in range(n_clients)], round_index=1
+        [UpdateTask(cid, flat=init) for cid in range(n_clients)], round_index=1
     )
     updates.sort(key=lambda u: u.client_id)
     # One packed cohort; each probed layer is a column slice of it.
-    cohort = cohort_matrix(env, updates)
+    cohort = cohort_matrix(updates)
 
     matrices: dict[int, np.ndarray] = {}
     separability: dict[int, float] = {}

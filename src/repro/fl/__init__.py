@@ -2,7 +2,6 @@
 
 from repro.fl.aggregation import (
     packed_weighted_average,
-    weighted_average,
     weighted_average_dict,
 )
 from repro.fl.client import (
@@ -31,11 +30,8 @@ from repro.fl.defense import (
 )
 from repro.fl.eval_flat import (
     CohortEval,
-    evaluate_grouped,
     evaluate_packed,
     fused_evaluate,
-    group_by_identity,
-    mean_local_accuracy_grouped,
 )
 from repro.fl.evaluation import EvalResult, evaluate_model, mean_local_accuracy
 from repro.fl.history import RoundRecord, RunHistory
@@ -62,7 +58,6 @@ from repro.fl.train_flat import plan_cohort_schedule, supports_batched, train_co
 
 __all__ = [
     "packed_weighted_average",
-    "weighted_average",
     "weighted_average_dict",
     "ClientUpdate",
     "local_train",
@@ -83,11 +78,8 @@ __all__ = [
     "robust_weighted_average",
     "save_checkpoint",
     "CohortEval",
-    "evaluate_grouped",
     "evaluate_packed",
     "fused_evaluate",
-    "group_by_identity",
-    "mean_local_accuracy_grouped",
     "EvalResult",
     "evaluate_model",
     "mean_local_accuracy",

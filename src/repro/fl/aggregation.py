@@ -4,18 +4,14 @@ Implements the FedAvg rule — the weighted average of client states by
 local sample count — which every algorithm in this reproduction uses
 (globally for FedAvg/FedProx, per cluster for CFL/IFCA/PACFL/FedClust).
 
-Two representations, one set of semantics:
+:func:`packed_weighted_average` is the kernel.  It operates on a cohort
+packed into one ``(n_clients, n_params)`` float64 matrix (see
+:mod:`repro.nn.state_flat`); the average is a single GEMV ``w @ X``.
 
-* :func:`packed_weighted_average` — the kernel.  Operates on a cohort
-  packed into one ``(n_clients, n_params)`` float64 matrix (see
-  :mod:`repro.nn.state_flat`); the average is a single GEMV ``w @ X``.
-* :func:`weighted_average` — the dict API, kept as a thin compatibility
-  view: it packs, calls the kernel, and unpacks, so its output is
-  bit-identical to the packed path by construction.
-
-:func:`weighted_average_dict` preserves the original per-key loop as a
-reference kernel; benchmarks (``benchmarks/bench_kernels.py``) time it
-against the packed kernel, and tests cross-check the two numerically.
+:func:`weighted_average_dict` preserves the original per-key loop over
+state dicts as a reference kernel; benchmarks
+(``benchmarks/bench_kernels.py``) time it against the packed kernel, and
+tests cross-check the two numerically.
 """
 
 from __future__ import annotations
@@ -26,11 +22,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.nn.state import check_same_keys, state_axpy, state_zeros_like
-from repro.nn.state_flat import StateLayout, pack_states, unpack_state
 
 __all__ = [
     "packed_weighted_average",
-    "weighted_average",
     "weighted_average_dict",
 ]
 
@@ -66,45 +60,6 @@ def packed_weighted_average(
         raise ValueError(f"packed cohort must be (n, p), got {matrix.shape}")
     w = _normalized_weights(weights, matrix.shape[0])
     return w @ matrix
-
-
-def weighted_average(
-    states: Sequence[Mapping[str, np.ndarray]],
-    weights: Sequence[float],
-    layout: StateLayout | None = None,
-    matrix: np.ndarray | None = None,
-) -> "OrderedDict[str, np.ndarray]":
-    """``Σ_i (w_i / Σw) · state_i`` with shape/key checking.
-
-    Weights are typically client sample counts ``n_i`` (Eq. 1 of the
-    paper); they must be non-negative with a positive sum.
-
-    Compatibility view over the flat parameter plane: packs the cohort,
-    runs :func:`packed_weighted_average`, and unpacks — so dict-API
-    callers get bit-identical results to the packed hot path.  Passing a
-    precomputed ``layout`` skips re-deriving it per call.  In the round
-    loop the cohort usually *already lives* packed (executors return
-    flat updates; see ``cohort_matrix``); pass it as ``matrix`` (row
-    ``i`` = packed ``states[i]``) and the view skips repacking entirely
-    — packing dominated the view's cost, not the GEMV.
-    """
-    if len(states) != len(weights):
-        raise ValueError(f"{len(states)} states but {len(weights)} weights")
-    if not states:
-        raise ValueError("cannot average zero states")
-    check_same_keys(list(states))
-    if matrix is None:
-        matrix, layout = pack_states(states, layout)
-    else:
-        if layout is None:
-            layout = StateLayout.from_state(states[0])
-        matrix = np.asarray(matrix)
-        if matrix.shape != (len(states), layout.n_params):
-            raise ValueError(
-                f"matrix has shape {matrix.shape}, expected "
-                f"({len(states)}, {layout.n_params})"
-            )
-    return unpack_state(packed_weighted_average(matrix, weights), layout)
 
 
 def weighted_average_dict(

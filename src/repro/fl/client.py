@@ -10,7 +10,6 @@ executors can ship them across threads or processes unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -20,12 +19,7 @@ from repro.fl.config import TrainConfig
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.nn.optim import SGD, ProximalSGD
-from repro.nn.state_flat import (
-    LazyStateView,
-    StateLayout,
-    pack_state,
-    unpack_state,
-)
+from repro.nn.state_flat import StateLayout, pack_state, unpack_state
 
 __all__ = [
     "ClientUpdate",
@@ -38,16 +32,9 @@ __all__ = [
 class ClientUpdate:
     """Result of one client's local round.
 
-    ``flat`` is the packed float64 view of ``state`` (same values, one
-    contiguous buffer) when the update travelled the flat transport;
-    aggregation consumes it directly so no per-key repacking happens on
-    the server.  Executors always populate it; it defaults to ``None``
-    only for hand-built updates in tests and external code.
-
-    On the hot path ``state`` is a :class:`repro.nn.state_flat.LazyStateView`
-    over ``flat`` — the dict never materialises unless a compatibility
-    consumer actually indexes it, so each in-flight update holds one
-    float64 row, not a row *plus* an eager per-key dict.
+    ``flat`` is the trained state as one packed float64 row on the
+    environment's layout (see :mod:`repro.nn.state_flat`); aggregation,
+    admission and checkpointing read it directly.
 
     ``weight`` is the update's effective aggregation weight when
     scenario middleware overrides the historical sample-count weighting
@@ -59,11 +46,10 @@ class ClientUpdate:
     """
 
     client_id: int
-    state: Mapping[str, np.ndarray]
+    flat: np.ndarray
     n_samples: int
     mean_loss: float
     n_batches: int
-    flat: np.ndarray | None = None
     weight: float | None = None
 
 
@@ -161,12 +147,10 @@ def run_client_update_flat(
         anchor_flat=incoming_flat,
         layout=layout,
     )
-    flat = pack_state(model.state_dict(copy=False), layout)
     return ClientUpdate(
         client_id=client_id,
-        state=LazyStateView(flat, layout),
+        flat=pack_state(model.state_dict(copy=False), layout),
         n_samples=len(dataset),
         mean_loss=mean_loss,
         n_batches=n_batches,
-        flat=flat,
     )

@@ -11,17 +11,17 @@ client and runs each client's split as its own serial batch loop.
 This module collapses that n-fold loop to a k-fold one:
 
 * **Deduplicated loads** — clients are grouped by the model that serves
-  them (an explicit label vector, or object identity for the dict API),
-  and each distinct model is loaded exactly once per evaluation, via
-  :meth:`repro.nn.module.Module.load_flat` when it lives as a packed row.
+  them (an explicit label vector), and each distinct model is loaded
+  exactly once per evaluation, via
+  :meth:`repro.nn.module.Module.load_flat` from its packed row.
 * **Fused forward passes** — the test splits of all clients sharing a
   model are streamed through the scratch model in shared, full-size
   batches (batch boundaries ignore client boundaries), and per-client
   accuracy/loss are recovered afterwards by segment reductions
   (``np.add.reduceat``) over the client-offset index.
 * **Packed input** — :func:`evaluate_packed` accepts the serving models
-  as rows of a ``(k, n_params)`` float64 matrix, so clustered algorithms
-  evaluate straight from the flat plane without materialising dicts.
+  as rows of a ``(k, n_params)`` float64 matrix, so every algorithm
+  evaluates straight from the flat plane without materialising dicts.
 
 Exactness contract
 ------------------
@@ -38,7 +38,7 @@ speedup and the accuracy bit-identity flag per PR.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,11 +49,8 @@ from repro.nn.module import Module
 __all__ = [
     "CohortEval",
     "fused_evaluate",
-    "group_by_identity",
     "members_of_labels",
-    "evaluate_grouped",
     "evaluate_packed",
-    "mean_local_accuracy_grouped",
 ]
 
 
@@ -154,30 +151,6 @@ def fused_evaluate(
     )
 
 
-def group_by_identity(
-    states_per_client: Sequence[Mapping[str, np.ndarray]],
-) -> tuple[list[Mapping[str, np.ndarray]], np.ndarray]:
-    """Collapse a per-client state list to (distinct states, labels).
-
-    Dedup is by *object identity* — exactly the sharing the algorithms
-    produce (``[state] * m`` for a global model, ``cluster_states[g]``
-    repeated per member for clustered methods).  Distinct-but-equal
-    dicts simply stay in separate groups; correctness never depends on
-    the grouping, only the amount of fusion does.
-    """
-    distinct: list[Mapping[str, np.ndarray]] = []
-    index_of: dict[int, int] = {}
-    labels = np.empty(len(states_per_client), dtype=np.int64)
-    for i, state in enumerate(states_per_client):
-        g = index_of.get(id(state))
-        if g is None:
-            g = len(distinct)
-            index_of[id(state)] = g
-            distinct.append(state)
-        labels[i] = g
-    return distinct, labels
-
-
 def members_of_labels(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
     """Member-index arrays per group (possibly empty) with validation."""
     labels = np.asarray(labels)
@@ -186,62 +159,6 @@ def members_of_labels(labels: np.ndarray, n_groups: int) -> list[np.ndarray]:
     if labels.size and (labels.min() < 0 or labels.max() >= n_groups):
         raise ValueError(f"labels reference groups outside [0, {n_groups})")
     return [np.flatnonzero(labels == g) for g in range(n_groups)]
-
-
-def _evaluate_members(
-    model: Module,
-    load_group: Callable[[int], None],
-    members_of: Sequence[np.ndarray],
-    testsets: Sequence[ArrayDataset],
-    batch_size: int,
-) -> CohortEval:
-    """Shared core: load each non-empty group once, fuse its members."""
-    m = len(testsets)
-    accuracy = np.zeros(m)
-    loss = np.zeros(m)
-    n_samples = np.zeros(m, dtype=np.int64)
-    n_correct = np.zeros(m, dtype=np.int64)
-    for g, members in enumerate(members_of):
-        if members.size == 0:
-            continue  # empty cluster: nothing to load, nothing to score
-        load_group(g)
-        part = fused_evaluate(
-            model, [testsets[i] for i in members], batch_size=batch_size
-        )
-        accuracy[members] = part.accuracy
-        loss[members] = part.loss
-        n_samples[members] = part.n_samples
-        n_correct[members] = part.n_correct
-    return CohortEval(accuracy, loss, n_samples, n_correct)
-
-
-def evaluate_grouped(
-    model: Module,
-    group_states: Sequence[Mapping[str, np.ndarray]],
-    labels: np.ndarray,
-    testsets: Sequence[ArrayDataset],
-    batch_size: int = 512,
-) -> tuple[float, np.ndarray]:
-    """Table-I metric with explicit grouping over dict states.
-
-    ``group_states[labels[i]]`` serves client ``i``; each distinct state
-    is loaded once and its members' splits are evaluated fused.  Returns
-    ``(mean, per_client_accuracy)`` like the reference loop.
-    """
-    labels = np.asarray(labels)
-    if labels.shape != (len(testsets),):
-        raise ValueError(
-            f"labels shape {labels.shape} mismatches {len(testsets)} test sets"
-        )
-    members = members_of_labels(labels, len(group_states))
-    result = _evaluate_members(
-        model,
-        lambda g: model.load_state_dict(dict(group_states[g])),
-        members,
-        testsets,
-        batch_size,
-    )
-    return result.mean_accuracy, result.accuracy
 
 
 def evaluate_packed(
@@ -268,33 +185,15 @@ def evaluate_packed(
         raise ValueError(
             f"labels shape {labels.shape} mismatches {len(testsets)} clients"
         )
-    members = members_of_labels(labels, matrix.shape[0])
-    result = _evaluate_members(
-        env.scratch_model,
-        lambda g: env.scratch_model.load_flat(matrix[g], env.layout),
-        members,
-        testsets,
-        batch_size if batch_size is not None else env.train_cfg.eval_batch_size,
-    )
-    return result.mean_accuracy, result.accuracy
-
-
-def mean_local_accuracy_grouped(
-    model: Module,
-    states_per_client: Sequence[Mapping[str, np.ndarray]],
-    testsets: Sequence[ArrayDataset],
-    batch_size: int = 512,
-) -> tuple[float, np.ndarray]:
-    """Drop-in fused replacement for the per-client reference loop.
-
-    Same signature and return as
-    :func:`repro.fl.evaluation.mean_local_accuracy`; serving states are
-    deduplicated by identity (see :func:`group_by_identity`) so the
-    ``[state] * m`` idiom costs one load and ~``total/batch`` forwards.
-    """
-    if len(states_per_client) != len(testsets):
-        raise ValueError(
-            f"{len(states_per_client)} states but {len(testsets)} test sets"
-        )
-    distinct, labels = group_by_identity(states_per_client)
-    return evaluate_grouped(model, distinct, labels, testsets, batch_size=batch_size)
+    if batch_size is None:
+        batch_size = env.train_cfg.eval_batch_size
+    model = env.scratch_model
+    accuracy = np.zeros(len(testsets))
+    for g, members in enumerate(members_of_labels(labels, matrix.shape[0])):
+        if members.size == 0:
+            continue  # empty cluster: nothing to load, nothing to score
+        model.load_flat(matrix[g], env.layout)
+        accuracy[members] = fused_evaluate(
+            model, [testsets[i] for i in members], batch_size=batch_size
+        ).accuracy
+    return float(accuracy.mean()), accuracy

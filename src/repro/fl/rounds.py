@@ -232,8 +232,8 @@ def discounted_update(
     The input object is never mutated: buffers that observe the same
     update twice (async re-buffering, trace replay, a strategy keeping
     a reference) must not compound the discount.  The copy is shallow —
-    the flat row and state mapping are shared, which is safe because
-    aggregation only reads them.
+    the flat row is shared, which is safe because aggregation only
+    reads it.
     """
     import dataclasses
 
@@ -1053,7 +1053,7 @@ class RoundEngine:
             return updates
         env = self.env
         return [
-            maybe_corrupt(u, env.seed, round_index, corruption, env.layout)
+            maybe_corrupt(u, env.seed, round_index, corruption)
             for u in updates
         ]
 
@@ -1063,9 +1063,7 @@ class RoundEngine:
         """Admission middleware: quarantine rows the server won't fold."""
         if not self.admission_active:
             return updates, []
-        admitted, rejected = admit_updates(
-            updates, self.env.layout, self.scenario.norm_bound
-        )
+        admitted, rejected = admit_updates(updates, self.scenario.norm_bound)
         self.events.extend(
             Event(round_index, "quarantine", int(cid), reason)
             for cid, reason in rejected
@@ -1432,7 +1430,6 @@ class RoundEngine:
                 )
             path = self.scenario.checkpoint.path
         env = self.env
-        layout = env.layout
         meta, strategy_arrays = strategy.checkpoint_payload(self)
         arrays: dict[str, np.ndarray] = {
             f"strategy/{name}": array for name, array in strategy_arrays.items()
@@ -1444,7 +1441,7 @@ class RoundEngine:
             metas, rows = [], []
             for extra, update in entries:
                 metas.append({**update_to_meta(update), **extra})
-                rows.append(update_row(update, layout))
+                rows.append(update_row(update))
             if not rows:
                 return metas, np.empty((0, env.n_params), dtype=np.float64)
             return metas, np.stack(rows)
@@ -1551,11 +1548,10 @@ class RoundEngine:
         history.records[:] = [
             RoundRecord(**record) for record in header["history"]["records"]
         ]
-        layout = env.layout
         self._buffer = {
             int(entry["client_id"]): (
                 int(entry["round"]),
-                rebuild_update(entry, row, layout),
+                rebuild_update(entry, row),
             )
             for entry, row in zip(header["buffer"], arrays["buffer_rows"])
         }
@@ -1565,7 +1561,7 @@ class RoundEngine:
                     int(entry["done"]),
                     int(entry["seq"]),
                     int(entry["dispatch_round"]),
-                    rebuild_update(entry, row, layout),
+                    rebuild_update(entry, row),
                 )
                 for entry, row in zip(
                     header["in_flight"], arrays["in_flight_rows"]

@@ -7,18 +7,15 @@ and a client executor.  Algorithms (in :mod:`repro.algorithms` and
 
 * :meth:`FederatedEnv.init_state` — the initial global model,
 * :meth:`FederatedEnv.run_updates` — dispatch local training for a set of
-  (client, incoming-state) pairs through the configured executor,
+  (client, incoming packed row) tasks through the configured executor,
 * :meth:`FederatedEnv.evaluate_assignment` /
   :meth:`FederatedEnv.evaluate_packed` /
   :meth:`FederatedEnv.mean_local_accuracy` — the Table-I metric.
 
 Evaluation runs on the fused path (:mod:`repro.fl.eval_flat`): clients
-are grouped by the model that serves them, each distinct model is loaded
-once, and the group's test splits share forward batches.
-:meth:`FederatedEnv.mean_local_accuracy` keeps the per-client dict-list
-signature as a compatibility view — it deduplicates the list by object
-identity and routes through the same fused kernels, with per-client
-accuracies bit-identical to the serial reference loop
+are grouped by the packed row that serves them, each distinct row is
+loaded once, and the group's test splits share forward batches, with
+per-client accuracies bit-identical to the serial reference loop
 (:func:`repro.fl.evaluation.mean_local_accuracy`).
 
 Everything stochastic derives from the environment seed via stateless
@@ -36,12 +33,7 @@ from repro.data.federation import Federation
 from repro.fl.client import ClientUpdate
 from repro.fl.communication import CommunicationTracker
 from repro.fl.config import TrainConfig
-from repro.fl.eval_flat import (
-    evaluate_grouped,
-    evaluate_packed,
-    mean_local_accuracy_grouped,
-)
-from repro.fl.evaluation import evaluate_model
+from repro.fl.eval_flat import evaluate_packed
 from repro.fl.parallel import SerialClientExecutor, UpdateTask, make_executor
 from repro.fl.store import ClientStateStore, StoreConfig, make_store
 from repro.nn.models import build_model, final_linear_name
@@ -179,34 +171,14 @@ class FederatedEnv:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def evaluate_state(
-        self, state: Mapping[str, np.ndarray], client_id: int
-    ) -> float:
-        """Accuracy of ``state`` on one client's local test split."""
-        self.scratch_model.load_state_dict(dict(state))
-        return evaluate_model(
-            self.scratch_model,
-            self.federation.clients[client_id].test,
-            batch_size=self.train_cfg.eval_batch_size,
-        ).accuracy
-
-    def mean_local_accuracy(
-        self, states_per_client: Sequence[Mapping[str, np.ndarray]]
-    ) -> tuple[float, np.ndarray]:
-        """Table-I metric: mean over clients of local-test accuracy.
-
-        Compatibility view over the fused path: the per-client list is
-        deduplicated by object identity, each distinct state is loaded
-        once, and clients sharing a state share forward batches.
-        Accuracies are bit-identical to the serial per-client loop.
-        """
-        testsets = [c.test for c in self.federation.clients]
-        return mean_local_accuracy_grouped(
-            self.scratch_model,
-            states_per_client,
-            testsets,
-            batch_size=self.train_cfg.eval_batch_size,
-        )
+    def mean_local_accuracy(self, rows: np.ndarray) -> tuple[float, np.ndarray]:
+        """Table-I metric when client ``i`` is served its own packed row
+        ``rows[i]`` (``(n_clients, n_params)`` on this layout)."""
+        if len(rows) != self.federation.n_clients:
+            raise ValueError(
+                f"{len(rows)} rows but {self.federation.n_clients} clients"
+            )
+        return evaluate_packed(self, rows, np.arange(len(rows)))
 
     def evaluate_assignment(
         self,
@@ -214,16 +186,10 @@ class FederatedEnv:
         labels: np.ndarray,
     ) -> tuple[float, np.ndarray]:
         """Table-I metric when client ``i`` is served
-        ``cluster_states[labels[i]]`` — one load per cluster, fused
-        forwards per cluster cohort."""
-        testsets = [c.test for c in self.federation.clients]
-        return evaluate_grouped(
-            self.scratch_model,
-            cluster_states,
-            labels,
-            testsets,
-            batch_size=self.train_cfg.eval_batch_size,
-        )
+        ``cluster_states[labels[i]]``: each state is packed once and
+        evaluated through :meth:`evaluate_packed`."""
+        matrix = np.stack([self.layout.pack(state) for state in cluster_states])
+        return evaluate_packed(self, matrix, labels)
 
     def evaluate_packed(
         self, matrix: np.ndarray, labels: np.ndarray

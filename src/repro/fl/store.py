@@ -21,7 +21,7 @@ parameter dtype, the round-tripped row embeds losslessly, so
     ``store.get(cid) == layout.round_trip(row)``  (bit for bit)
 
 for *any* float64 input row — exactly what the historical dict path
-(``dict(update.state)`` = ``unpack(flat)``) produced.  DenseStore and
+(``unpack_state(flat)``) produced.  DenseStore and
 ShardedStore therefore agree bit-for-bit with each other and with every
 pre-store seed pin, including rows corrupted by float64 noise.
 
@@ -44,7 +44,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.fl.aggregation import _normalized_weights
-from repro.nn.state_flat import LazyStateView, StateLayout
+from repro.nn.state_flat import StateLayout
 
 __all__ = [
     "STORE_KINDS",
@@ -172,10 +172,6 @@ class ClientStateStore:
             out[i] = self._read_row(cid)
         return out
 
-    def state_view(self, client_id: int) -> LazyStateView:
-        """Mapping view of one client's state (for evaluation paths)."""
-        return LazyStateView(self.get(client_id), self.layout)
-
     # ------------------------------------------------------------------
     # Storage primitives (subclass responsibility)
     # ------------------------------------------------------------------
@@ -199,11 +195,12 @@ class ClientStateStore:
     def restore_from(self, meta: Mapping, arrays: Mapping[str, np.ndarray]) -> None:
         """Load a checkpoint payload written by *any* store kind.
 
-        Legacy checkpoints (written before the store existed) carry a
-        bare ``states`` matrix and no store meta; they restore like a
-        dense payload.
+        ``meta`` must name the writing store's ``kind``; a payload
+        without one is refused.
         """
-        src_kind = meta.get("kind", "dense")
+        if "kind" not in meta:
+            raise ValueError("checkpoint store meta names no store kind")
+        src_kind = meta["kind"]
         p = self.layout.n_params
         if src_kind == "dense":
             matrix = np.asarray(arrays["states"])

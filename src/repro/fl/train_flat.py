@@ -25,8 +25,7 @@ Pipeline per cohort:
 3. **Emit** — final per-client states are materialised straight into a
    ``(n_clients, n_params)`` float64 matrix; each
    :class:`~repro.fl.client.ClientUpdate` carries its row as ``flat``
-   and a lazy mapping view as ``state`` — no dict is built unless a
-   consumer actually asks for one.
+   — no state dict is built.
 
 Parity contract: per-client updates match the serial trainer
 (:func:`repro.fl.client.run_client_update_flat`) to float summation
@@ -57,7 +56,7 @@ from repro.nn.batched import (
     supports_batched,
 )
 from repro.nn.layers.linear import Linear
-from repro.nn.state_flat import LazyStateView, StateLayout
+from repro.nn.state_flat import StateLayout
 from repro.utils.rng import rng_for
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -292,7 +291,7 @@ def train_cohort_flat(
     ``env.train_cfg`` — the batched equivalent of calling
     :func:`repro.fl.client.run_client_update_flat` per client with the
     same ``rng_for`` streams.  Returns updates in ``client_ids`` order,
-    each carrying its packed row (``flat``) and a lazy ``state`` view.
+    each carrying its packed row (``flat``).
 
     ``max_steps`` is an optional per-client total-step cap (aligned
     with ``client_ids``; the scenario compute-budget path) — budgeted
@@ -415,17 +414,13 @@ def train_cohort_flat(
     out = np.empty((n_clients, layout.n_params), dtype=np.float64)
     flush_cohort(batched, layout, out)
 
-    updates = []
-    for i, cid in enumerate(client_ids):
-        row = out[i]
-        updates.append(
-            ClientUpdate(
-                client_id=cid,
-                state=LazyStateView(row, layout),
-                n_samples=sizes[i],
-                mean_loss=float(total_loss[i] / n_batches[i]) if n_batches[i] else 0.0,
-                n_batches=int(n_batches[i]),
-                flat=row,
-            )
+    return [
+        ClientUpdate(
+            client_id=cid,
+            flat=out[i],
+            n_samples=sizes[i],
+            mean_loss=float(total_loss[i] / n_batches[i]) if n_batches[i] else 0.0,
+            n_batches=int(n_batches[i]),
         )
-    return updates
+        for i, cid in enumerate(client_ids)
+    ]

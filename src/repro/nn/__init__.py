@@ -38,7 +38,6 @@ from repro.nn.models import (
 )
 from repro.nn.module import Module, Sequential
 from repro.nn.state_flat import (
-    LazyStateView,
     StateLayout,
     pack_state,
     pack_states,
@@ -55,7 +54,6 @@ __all__ = [
     "state",
     "state_flat",
     "StateLayout",
-    "LazyStateView",
     "pack_state",
     "pack_states",
     "unpack_keys",

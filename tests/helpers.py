@@ -1,5 +1,6 @@
 """Shared test utilities: numerical gradient checking, a cophenetic-distance
-oracle, the ReLU-select oracle and event-log views.
+oracle, the ReLU-select oracle, event-log views and the FedAvg rule over
+state dicts.
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -12,7 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.fl.aggregation import packed_weighted_average
 from repro.nn.module import Module
+from repro.nn.state_flat import pack_states, unpack_state
 
 
 def loss_for(module: Module, x: np.ndarray, probe: np.ndarray) -> float:
@@ -169,3 +172,10 @@ def cophenetic_matrix(linkage_matrix: np.ndarray) -> np.ndarray:
         out[ri.T, li.T] = z[step, 2]
         members[n + step] = left + right
     return out
+
+
+def packed_average(states, weights):
+    """The FedAvg rule over state dicts through the packed kernel: pack
+    the cohort, one :func:`packed_weighted_average` GEMV, unpack."""
+    matrix, layout = pack_states(states)
+    return unpack_state(packed_weighted_average(matrix, weights), layout)

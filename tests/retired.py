@@ -29,7 +29,6 @@ from repro.cluster.metrics import contingency_table
 from repro.core.weights import final_layer_keys, weight_matrix
 from repro.data.dataloader import DataLoader
 from repro.data.dataset import ArrayDataset
-from repro.fl.aggregation import weighted_average
 from repro.fl.evaluation import evaluate_model
 from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.module import Module
@@ -39,6 +38,8 @@ from repro.nn.state import check_same_keys
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_array, check_fraction, check_positive
+
+from helpers import packed_average
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.state_flat import StateLayout
@@ -735,7 +736,7 @@ def uniform_average(
     states: Sequence[Mapping[str, np.ndarray]],
 ) -> "OrderedDict[str, np.ndarray]":
     """Unweighted mean of states (used in ablations)."""
-    return weighted_average(states, np.ones(len(states)))
+    return packed_average(states, np.ones(len(states)))
 
 
 

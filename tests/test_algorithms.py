@@ -13,6 +13,7 @@ from repro.algorithms.ifca import IFCA
 from repro.algorithms.pacfl import PACFL
 from repro.algorithms.registry import available_algorithms, make_algorithm
 from repro.cluster.metrics import adjusted_rand_index
+from repro.fl.rounds import ScenarioConfig
 
 from retired import states_for_clients
 
@@ -72,9 +73,9 @@ class TestSharedHelpers:
 class TestConstructionValidation:
     def test_fedavg_fraction(self):
         with pytest.raises(ValueError):
-            FedAvg(client_fraction=0.0)
+            ScenarioConfig(client_fraction=0.0)
         with pytest.raises(ValueError):
-            FedAvg(client_fraction=1.5)
+            ScenarioConfig(client_fraction=1.5)
 
     def test_fedprox_mu(self):
         with pytest.raises(ValueError):
@@ -154,7 +155,12 @@ class TestShortRuns:
         assert result.final_accuracy > 0.15
 
     def test_fedavg_client_fraction_runs(self, small_env):
-        result = FedAvg(client_fraction=0.5).run(small_env, n_rounds=2, eval_every=2)
+        result = FedAvg().run(
+            small_env,
+            n_rounds=2,
+            eval_every=2,
+            scenario=ScenarioConfig(client_fraction=0.5),
+        )
         assert result.history.records[0].n_participants == 4
 
     def test_ifca_download_is_k_times(self, small_env):

@@ -410,7 +410,7 @@ class TestConcurrencyCap:
 class TestInFlightBuffer:
     def _update(self, cid):
         return ClientUpdate(
-            client_id=cid, state={}, n_samples=10, mean_loss=0.0, n_batches=1
+            client_id=cid, flat=np.zeros(3), n_samples=10, mean_loss=0.0, n_batches=1
         )
 
     def test_collect_due_releases_in_dispatch_order(self):
@@ -449,11 +449,10 @@ class TestDiscountedUpdate:
     def _update(self, weight=None):
         return ClientUpdate(
             client_id=0,
-            state={},
+            flat=np.zeros(3),
             n_samples=40,
             mean_loss=0.1,
             n_batches=4,
-            flat=np.zeros(3),
             weight=weight,
         )
 

@@ -88,11 +88,10 @@ def env_factory(federation):
 def _update(env, cid, flat, n_samples=100):
     return ClientUpdate(
         client_id=cid,
-        state=env.layout.unpack(flat),
+        flat=np.asarray(flat, dtype=np.float64),
         n_samples=n_samples,
         mean_loss=1.0,
         n_batches=3,
-        flat=np.asarray(flat, dtype=np.float64),
     )
 
 
@@ -158,24 +157,22 @@ class TestMaybeCorrupt:
 
     def test_rate_zero_returns_the_same_object(self, env_factory):
         env, update = self._env_update(env_factory)
-        out = maybe_corrupt(update, 0, 1, CorruptionConfig(rate=0.0), env.layout)
+        out = maybe_corrupt(update, 0, 1, CorruptionConfig(rate=0.0))
         assert out is update
 
     def test_event_is_deterministic_per_seed(self, env_factory):
         env, update = self._env_update(env_factory)
         cfg = CorruptionConfig(rate=1.0, kinds=("noise",))
-        a = maybe_corrupt(update, 7, 2, cfg, env.layout)
-        b = maybe_corrupt(update, 7, 2, cfg, env.layout)
+        a = maybe_corrupt(update, 7, 2, cfg)
+        b = maybe_corrupt(update, 7, 2, cfg)
         np.testing.assert_array_equal(a.flat, b.flat)
         # A different round (or client) rolls different dice.
-        c = maybe_corrupt(update, 7, 3, cfg, env.layout)
+        c = maybe_corrupt(update, 7, 3, cfg)
         assert not np.array_equal(a.flat, c.flat)
 
     def test_fired_event_copies_never_aliases(self, env_factory):
         env, update = self._env_update(env_factory)
-        out = maybe_corrupt(
-            update, 0, 1, CorruptionConfig(rate=1.0), env.layout
-        )
+        out = maybe_corrupt(update, 0, 1, CorruptionConfig(rate=1.0))
         assert out is not update
         assert out.flat is not update.flat
         assert np.isfinite(update.flat).all()  # pristine original
@@ -184,7 +181,7 @@ class TestMaybeCorrupt:
     def test_kinds(self, env_factory, kind):
         env, update = self._env_update(env_factory)
         cfg = CorruptionConfig(rate=1.0, kinds=(kind,), scale=10.0)
-        out = maybe_corrupt(update, 0, 1, cfg, env.layout)
+        out = maybe_corrupt(update, 0, 1, cfg)
         if kind == "nan":
             assert np.isnan(out.flat).any()
         elif kind == "inf":
@@ -194,11 +191,6 @@ class TestMaybeCorrupt:
         else:  # noise: finite but far from the original
             assert np.isfinite(out.flat).all()
             assert np.linalg.norm(out.flat - update.flat) > 1.0
-        # The state view is rebuilt from the corrupted row.
-        if kind == "nan":
-            assert any(
-                np.isnan(np.asarray(v)).any() for v in out.state.values()
-            )
 
     def test_corruption_schedule_is_executor_invariant(self, env_factory):
         scenario = ScenarioConfig(
@@ -235,7 +227,7 @@ class TestAdmission:
         env = env_factory()
         flat = env.layout.pack(env.init_state())
         updates = [_update(env, 0, flat), _update(env, 1, flat + 1.0)]
-        admitted, rejected = admit_updates(updates, env.layout)
+        admitted, rejected = admit_updates(updates)
         assert admitted is updates
         assert rejected == []
 
@@ -251,7 +243,7 @@ class TestAdmission:
             _update(env, 1, bad),
             _update(env, 2, worse),
         ]
-        admitted, rejected = admit_updates(updates, env.layout)
+        admitted, rejected = admit_updates(updates)
         assert [u.client_id for u in admitted] == [0]
         assert rejected == [
             (1, QUARANTINE_NON_FINITE),
@@ -266,18 +258,18 @@ class TestAdmission:
             _update(env, 1, flat),
             _update(env, 2, flat * 100.0),
         ]
-        admitted, rejected = admit_updates(updates, env.layout, norm_bound=3.0)
+        admitted, rejected = admit_updates(updates, norm_bound=3.0)
         assert [u.client_id for u in admitted] == [0, 1]
         assert rejected == [(2, QUARANTINE_NORM_BOUND)]
         # Without the bound the exploded row sails through (it is finite).
-        admitted, rejected = admit_updates(updates, env.layout)
+        admitted, rejected = admit_updates(updates)
         assert len(admitted) == 3 and not rejected
 
     def test_zero_median_skips_the_norm_guard(self, env_factory):
         env = env_factory()
         zero = np.zeros(env.n_params)
         updates = [_update(env, 0, zero), _update(env, 1, zero)]
-        admitted, rejected = admit_updates(updates, env.layout, norm_bound=2.0)
+        admitted, rejected = admit_updates(updates, norm_bound=2.0)
         assert len(admitted) == 2 and not rejected
 
     def test_quarantine_is_charged_and_logged(self, env_factory):
@@ -396,8 +388,8 @@ class TestSurvivorLossExclusion:
     NaN when nobody contributes, across serial and batched executors."""
 
     def test_zero_batch_updates_are_excluded(self):
-        live = ClientUpdate(1, {}, 10, mean_loss=2.0, n_batches=4)
-        idle = ClientUpdate(2, {}, 10, mean_loss=0.0, n_batches=0)
+        live = ClientUpdate(1, flat=np.zeros(3), n_samples=10, mean_loss=2.0, n_batches=4)
+        idle = ClientUpdate(2, flat=np.zeros(3), n_samples=10, mean_loss=0.0, n_batches=0)
         assert survivor_mean_loss([live, idle]) == 2.0
         assert np.isnan(survivor_mean_loss([idle]))
         assert np.isnan(survivor_mean_loss([]))

@@ -13,16 +13,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.algorithms.base import evaluate_assignment, fedavg_round_flat
-from repro.fl.aggregation import weighted_average
-from repro.fl.eval_flat import (
-    evaluate_grouped,
-    evaluate_packed,
-    fused_evaluate,
-    group_by_identity,
-    mean_local_accuracy_grouped,
-    members_of_labels,
-)
+from repro.algorithms.base import cohort_matrix, fedavg_round_flat
+from repro.fl.aggregation import packed_weighted_average
+from repro.fl.client import ClientUpdate
+from repro.fl.eval_flat import evaluate_packed, fused_evaluate, members_of_labels
 from repro.fl.evaluation import evaluate_model, mean_local_accuracy
 from repro.nn.models import mlp
 from repro.nn.state_flat import StateLayout, pack_state, pack_states, unpack_state
@@ -45,6 +39,32 @@ def datasets():
     pool = make_dataset("fmnist", 120, 3, noise_std=0.2)
     cuts = [(0, 17), (17, 47), (47, 52), (52, 120)]  # sizes 17, 30, 5, 68
     return [pool.subset(np.arange(lo, hi)) for lo, hi in cuts]
+
+
+class _Env:
+    """Duck-typed FederatedEnv for :func:`evaluate_packed`: one fixture
+    model serving the fixture test sets, counting its row loads."""
+
+    class _Client:
+        def __init__(self, test):
+            self.test = test
+
+    class _Federation:
+        pass
+
+    def __init__(self, model, datasets):
+        self.scratch_model = model
+        self.layout = StateLayout.from_model(model)
+        self.federation = self._Federation()
+        self.federation.clients = [self._Client(d) for d in datasets]
+        self.loads = 0
+        load_flat = model.load_flat
+
+        def counted(vector, layout):
+            self.loads += 1
+            load_flat(vector, layout)
+
+        model.load_flat = counted
 
 
 def _perturbed_states(model, rng, n):
@@ -155,23 +175,34 @@ class TestFusedEvaluate:
 # Grouping
 # ----------------------------------------------------------------------
 class TestGrouping:
-    def test_identity_dedup_shared(self, model):
-        state = model.state_dict()
-        distinct, labels = group_by_identity([state] * 5)
-        assert len(distinct) == 1
-        np.testing.assert_array_equal(labels, np.zeros(5, dtype=np.int64))
+    """Clients served by the same row share one load of it, and the
+    accuracies stay bit-equal to the per-client reference loop."""
 
-    def test_identity_dedup_distinct(self, model, rng):
-        states = _perturbed_states(model, rng, 3)
-        distinct, labels = group_by_identity(states)
-        assert len(distinct) == 3
-        np.testing.assert_array_equal(labels, np.arange(3))
+    @staticmethod
+    def _check(model, datasets, states, labels):
+        env = _Env(model, datasets)
+        matrix, _ = pack_states(states, env.layout)
+        _, accs = evaluate_packed(env, matrix, labels, batch_size=64)
+        _, ref = mean_local_accuracy(
+            model, [states[g] for g in labels], datasets, batch_size=64
+        )
+        np.testing.assert_array_equal(accs, ref)
+        return env.loads
 
-    def test_identity_dedup_mixed(self, model, rng):
-        a, b = _perturbed_states(model, rng, 2)
-        distinct, labels = group_by_identity([a, b, a, b, a])
-        assert len(distinct) == 2
-        np.testing.assert_array_equal(labels, [0, 1, 0, 1, 0])
+    def test_identity_dedup_shared(self, model, datasets):
+        state = model.state_dict(copy=True)
+        labels = np.zeros(len(datasets), dtype=np.int64)
+        assert self._check(model, datasets, [state], labels) == 1
+
+    def test_identity_dedup_distinct(self, model, rng, datasets):
+        states = _perturbed_states(model, rng, 4)
+        labels = np.arange(4, dtype=np.int64)
+        assert self._check(model, datasets, states, labels) == 4
+
+    def test_identity_dedup_mixed(self, model, rng, datasets):
+        states = _perturbed_states(model, rng, 2)
+        labels = np.array([0, 1, 0, 1], dtype=np.int64)
+        assert self._check(model, datasets, states, labels) == 2
 
     def test_members_of_labels_validates_range(self):
         with pytest.raises(ValueError, match="outside"):
@@ -193,10 +224,16 @@ class TestGroupedVsLoop:
     def _reference(self, model, per_client_states, datasets):
         return mean_local_accuracy(model, per_client_states, datasets, batch_size=64)
 
+    @staticmethod
+    def _packed(model, states, labels, datasets):
+        env = _Env(model, datasets)
+        matrix, _ = pack_states(states, env.layout)
+        return evaluate_packed(env, matrix, labels, batch_size=64)
+
     def test_all_same_state(self, setup):
         model, states, datasets = setup
         labels = np.zeros(len(datasets), dtype=np.int64)
-        mean, accs = evaluate_grouped(model, [states[0]], labels, datasets, 64)
+        mean, accs = self._packed(model, [states[0]], labels, datasets)
         ref_mean, ref_accs = self._reference(model, [states[0]] * 4, datasets)
         np.testing.assert_array_equal(accs, ref_accs)
         assert mean == ref_mean
@@ -205,7 +242,7 @@ class TestGroupedVsLoop:
         model, states, datasets = setup
         per_client = _perturbed_states(model, np.random.default_rng(9), 4)
         labels = np.arange(4, dtype=np.int64)
-        mean, accs = evaluate_grouped(model, per_client, labels, datasets, 64)
+        mean, accs = self._packed(model, per_client, labels, datasets)
         ref_mean, ref_accs = self._reference(model, per_client, datasets)
         np.testing.assert_array_equal(accs, ref_accs)
         assert mean == ref_mean
@@ -214,7 +251,10 @@ class TestGroupedVsLoop:
         """Labels use clusters {0, 2} of 3 — cluster 1 is never loaded."""
         model, states, datasets = setup
         labels = np.array([0, 2, 0, 2], dtype=np.int64)
-        mean, accs = evaluate_grouped(model, states, labels, datasets, 64)
+        env = _Env(model, datasets)
+        matrix, _ = pack_states(states, env.layout)
+        mean, accs = evaluate_packed(env, matrix, labels, batch_size=64)
+        assert env.loads == 2
         ref_mean, ref_accs = self._reference(
             model, [states[g] for g in labels], datasets
         )
@@ -223,23 +263,7 @@ class TestGroupedVsLoop:
 
     def test_packed_rows_match(self, setup):
         model, states, datasets = setup
-
-        class _Env:  # duck-typed FederatedEnv for evaluate_packed
-            pass
-
-        env = _Env()
-        env.scratch_model = model
-        env.layout = StateLayout.from_model(model)
-
-        class _C:
-            def __init__(self, test):
-                self.test = test
-
-        class _F:
-            pass
-
-        env.federation = _F()
-        env.federation.clients = [_C(d) for d in datasets]
+        env = _Env(model, datasets)
         labels = np.array([0, 1, 2, 1], dtype=np.int64)
         matrix, _ = pack_states(states, env.layout)
         mean, accs = evaluate_packed(env, matrix, labels, batch_size=64)
@@ -258,16 +282,20 @@ class TestGroupedVsLoop:
 
     def test_grouped_validation(self, setup):
         model, states, datasets = setup
+        env = _Env(model, datasets)
+        matrix, _ = pack_states(states, env.layout)
         with pytest.raises(ValueError, match="labels"):
-            evaluate_grouped(model, states, np.zeros(2, dtype=np.int64), datasets, 64)
+            evaluate_packed(env, matrix, np.zeros(2, dtype=np.int64), batch_size=64)
         with pytest.raises(ValueError, match="outside"):
-            evaluate_grouped(
-                model, states, np.full(4, 7, dtype=np.int64), datasets, 64
+            evaluate_packed(
+                env, matrix, np.full(4, 7, dtype=np.int64), batch_size=64
             )
 
-    def test_compat_signature_validation(self, model, datasets):
-        with pytest.raises(ValueError, match="states"):
-            mean_local_accuracy_grouped(model, [model.state_dict()], datasets)
+    def test_compat_signature_validation(self, small_env):
+        """``mean_local_accuracy`` takes exactly one row per client."""
+        row = small_env.layout.pack(small_env.init_state())
+        with pytest.raises(ValueError, match="rows"):
+            small_env.mean_local_accuracy(row[None, :])
 
 
 # ----------------------------------------------------------------------
@@ -275,13 +303,15 @@ class TestGroupedVsLoop:
 # ----------------------------------------------------------------------
 class TestEnvGroupedEval:
     def test_compat_view_bit_identical(self, small_env, rng):
-        """env.mean_local_accuracy (fused) vs the serial reference loop —
-        the fast gate that makes perf-path drift fail the suite."""
+        """env.mean_local_accuracy (fused, one row per client) vs the
+        serial reference loop — the fast gate that makes perf-path drift
+        fail the suite."""
         states = _perturbed_states(small_env.scratch_model, rng, 3)
         m = small_env.federation.n_clients
         per_client = [states[i % 3] for i in range(m)]
         testsets = [c.test for c in small_env.federation.clients]
-        got_mean, got = small_env.mean_local_accuracy(per_client)
+        rows, _ = pack_states(per_client, small_env.layout)
+        got_mean, got = small_env.mean_local_accuracy(rows)
         ref_mean, ref = mean_local_accuracy(
             small_env.scratch_model,
             per_client,
@@ -296,7 +326,7 @@ class TestEnvGroupedEval:
         m = small_env.federation.n_clients
         labels = np.arange(m, dtype=np.int64) % 2
         testsets = [c.test for c in small_env.federation.clients]
-        got_mean, got = evaluate_assignment(small_env, states, labels)
+        got_mean, got = small_env.evaluate_assignment(states, labels)
         ref_mean, ref = mean_local_accuracy(
             small_env.scratch_model,
             [states[g] for g in labels],
@@ -325,26 +355,28 @@ class TestEnvGroupedEval:
 
 
 # ----------------------------------------------------------------------
-# weighted_average compat view: matrix reuse (the BENCH_kernels fix)
+# Aggregating the update rows as they arrive vs repacking the states
 # ----------------------------------------------------------------------
 class TestWeightedAverageMatrixReuse:
     def test_matrix_reuse_bit_identical(self, model, rng):
+        """The round loop stacks the updates' own rows (``cohort_matrix``);
+        averaging them equals averaging the repacked states, bit for bit."""
         states = _perturbed_states(model, rng, 5)
         layout = StateLayout.from_model(model)
         weights = rng.integers(1, 20, size=5).astype(np.float64)
-        matrix, _ = pack_states(states, layout)
-        packed_path = weighted_average(states, weights, layout, matrix=matrix)
-        repack_path = weighted_average(states, weights, layout)
-        for k in packed_path:
-            np.testing.assert_array_equal(packed_path[k], repack_path[k])
+        updates = [
+            ClientUpdate(cid, flat=layout.pack(s), n_samples=1, mean_loss=0.0, n_batches=1)
+            for cid, s in enumerate(states)
+        ]
+        reused = packed_weighted_average(cohort_matrix(updates), weights)
+        repacked = packed_weighted_average(pack_states(states, layout)[0], weights)
+        np.testing.assert_array_equal(reused, repacked)
 
-    def test_matrix_shape_validated(self, model, rng):
-        states = _perturbed_states(model, rng, 3)
-        layout = StateLayout.from_model(model)
-        with pytest.raises(ValueError, match="matrix"):
-            weighted_average(
-                states, np.ones(3), layout, matrix=np.zeros((3, 5))
-            )
+    def test_matrix_shape_validated(self, rng):
+        with pytest.raises(ValueError, match="cohort"):
+            packed_weighted_average(np.zeros(5), np.ones(5))
+        with pytest.raises(ValueError, match="weights"):
+            packed_weighted_average(np.zeros((3, 5)), np.ones(2))
 
 
 # ----------------------------------------------------------------------

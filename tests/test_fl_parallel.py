@@ -14,17 +14,20 @@ from repro.fl.parallel import (
     make_executor,
 )
 from repro.fl.simulation import FederatedEnv
+from repro.nn.state_flat import unpack_state
 
 
-def _assert_states_equal(a, b):
+def _assert_states_equal(env, a, b):
+    """The two updates' rows unpack to equal state dicts."""
+    a, b = unpack_state(a.flat, env.layout), unpack_state(b.flat, env.layout)
     assert list(a) == list(b)
     for key in a:
         np.testing.assert_array_equal(a[key], b[key])
 
 
 def _tasks(env):
-    init = env.init_state()
-    return [UpdateTask(cid, init) for cid in range(env.federation.n_clients)]
+    init = env.layout.pack(env.init_state())
+    return [UpdateTask(cid, flat=init) for cid in range(env.federation.n_clients)]
 
 
 class TestExecutorEquivalence:
@@ -90,7 +93,10 @@ class TestFlatTransportParity:
         updates, _ = self._round(small_env, SerialClientExecutor())
         for u in updates:
             assert u.flat is not None and u.flat.dtype == np.float64
-            np.testing.assert_array_equal(u.flat, small_env.layout.pack(u.state))
+            layout = small_env.layout
+            np.testing.assert_array_equal(
+                u.flat, layout.pack(unpack_state(u.flat, layout))
+            )
 
     def test_thread_round_byte_identical(self, small_env):
         serial_updates, serial_vec = self._round(small_env, SerialClientExecutor())
@@ -101,7 +107,7 @@ class TestFlatTransportParity:
             assert s.client_id == t.client_id
             assert s.mean_loss == t.mean_loss
             np.testing.assert_array_equal(s.flat, t.flat)
-            _assert_states_equal(s.state, t.state)
+            _assert_states_equal(small_env, s, t)
         np.testing.assert_array_equal(serial_vec, thread_vec)
 
     @pytest.mark.slow
@@ -114,7 +120,7 @@ class TestFlatTransportParity:
             assert s.client_id == p.client_id
             assert s.mean_loss == p.mean_loss
             np.testing.assert_array_equal(s.flat, p.flat)
-            _assert_states_equal(s.state, p.state)
+            _assert_states_equal(small_env, s, p)
         np.testing.assert_array_equal(serial_vec, process_vec)
 
     @pytest.mark.slow
@@ -151,9 +157,9 @@ class TestFlatTransportParity:
     @pytest.mark.slow
     def test_process_prox_round_byte_identical(self, small_env):
         """FedProx's flat anchor must not perturb process-pool results."""
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         tasks = [
-            UpdateTask(cid, init, prox_mu=0.1)
+            UpdateTask(cid, flat=init, prox_mu=0.1)
             for cid in range(small_env.federation.n_clients)
         ]
         serial = SerialClientExecutor().run(small_env, tasks, 1)
@@ -168,16 +174,16 @@ class TestFlatTransportParity:
 
 class TestEnvDispatch:
     def test_run_updates_rejects_duplicates(self, small_env):
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         with pytest.raises(ValueError, match="duplicate"):
             small_env.run_updates(
-                [UpdateTask(0, init), UpdateTask(0, init)], 1
+                [UpdateTask(0, flat=init), UpdateTask(0, flat=init)], 1
             )
 
     def test_run_updates_rejects_bad_ids(self, small_env):
-        init = small_env.init_state()
+        init = small_env.layout.pack(small_env.init_state())
         with pytest.raises(ValueError, match="out of range"):
-            small_env.run_updates([UpdateTask(99, init)], 1)
+            small_env.run_updates([UpdateTask(99, flat=init)], 1)
 
     def test_empty_tasks_ok(self, small_env):
         assert small_env.run_updates([], 1) == []

@@ -169,20 +169,6 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="min_clients"):
             RoundEngine(env, ScenarioConfig(min_clients=9, client_fraction=0.5))
 
-    def test_fedavg_constructor_fraction_merges_with_scenario(self, env_factory):
-        """Adding failure injection must not silently revert a
-        configured client fraction to full participation."""
-        from repro.algorithms.fedavg import FedAvg
-
-        algo = FedAvg(client_fraction=0.5)
-        merged = algo._scenario(ScenarioConfig(failure_rate=0.2))
-        assert merged.client_fraction == 0.5
-        assert merged.failure_rate == 0.2
-        # Same fraction in both places is fine; different is a loud error.
-        assert algo._scenario(ScenarioConfig(client_fraction=0.5)).client_fraction == 0.5
-        with pytest.raises(ValueError, match="conflicting client fractions"):
-            algo._scenario(ScenarioConfig(client_fraction=0.25))
-
 
 # ----------------------------------------------------------------------
 # Middleware semantics (one dispatched round each)
@@ -268,7 +254,7 @@ class TestDispatchMiddleware:
         assert 1 <= len(survivors) < env.federation.n_clients
         expected = env.layout.round_trip(
             packed_weighted_average(
-                cohort_matrix(env, survivors), [u.n_samples for u in survivors]
+                cohort_matrix(survivors), [u.n_samples for u in survivors]
             )
         )
         np.testing.assert_array_equal(strategy.vector, expected)
@@ -568,7 +554,7 @@ class TestStaleUpdates:
         survivors = next(s for r, s in captured if r == round_index)
         weights = aggregation_weights(survivors)
         expected_last = env.layout.round_trip(
-            packed_weighted_average(cohort_matrix(env, survivors), weights)
+            packed_weighted_average(cohort_matrix(survivors), weights)
         )
         # Re-run and compare the state right after the folded round.
         engine2 = RoundEngine(env, scenario)
@@ -748,7 +734,7 @@ class TestComputeBudgets:
         # steps-taken weights; the denominator is their total step count.
         weights = [float(u.n_batches) for u in live]
         expected = env.layout.round_trip(
-            packed_weighted_average(cohort_matrix(env, live), weights)
+            packed_weighted_average(cohort_matrix(live), weights)
         )
         np.testing.assert_array_equal(strategy.vector, expected)
 

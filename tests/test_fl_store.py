@@ -257,16 +257,14 @@ class TestCheckpointRestore:
             dst.rows(np.arange(40)), src.rows(np.arange(40))
         )
 
-    def test_legacy_payload_restores_like_dense(self):
-        # checkpoints written before the store carried a bare matrix
+    def test_payload_without_kind_is_refused(self):
+        # a bare matrix with no store meta names no kind to restore from
         layout = _f32_layout()
         matrix = np.random.default_rng(3).standard_normal((6, 24))
         wire = matrix.astype(np.float32)
         store = ShardedStore(6, layout, np.zeros(24), shard_size=2)
-        store.restore_from({}, {"states": wire})
-        np.testing.assert_array_equal(
-            store.rows(np.arange(6)), wire.astype(np.float64)
-        )
+        with pytest.raises(ValueError, match="kind"):
+            store.restore_from({}, {"states": wire})
 
     def test_restore_rejects_wrong_population(self):
         layout = _f32_layout()

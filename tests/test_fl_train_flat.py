@@ -32,7 +32,7 @@ from repro.fl.train_flat import (
     supports_batched,
     train_cohort_flat,
 )
-from repro.nn.state_flat import LazyStateView, unpack_state
+from repro.nn.state_flat import unpack_state
 from repro.utils.rng import rng_for
 
 #: Absolute tolerance for batched-vs-serial float32-model updates.
@@ -69,9 +69,9 @@ def mlp_env_factory():
 
 
 def _broadcast_tasks(env, prox_mu: float = 0.0):
-    init = env.init_state()
+    init = env.layout.pack(env.init_state())
     return [
-        UpdateTask(cid, init, prox_mu=prox_mu)
+        UpdateTask(cid, flat=init, prox_mu=prox_mu)
         for cid in range(env.federation.n_clients)
     ]
 
@@ -175,8 +175,9 @@ class TestBatchedSerialParity:
         )
         init = env.init_state()
         other = {k: v + np.float32(0.01) for k, v in init.items()}
+        init, other = env.layout.pack(init), env.layout.pack(other)
         tasks = [
-            UpdateTask(cid, init if cid % 2 == 0 else other)
+            UpdateTask(cid, flat=init if cid % 2 == 0 else other)
             for cid in range(env.federation.n_clients)
         ]
         serial = SerialClientExecutor().run(env, tasks, round_index=1)
@@ -327,28 +328,14 @@ class TestRepresentationPlumbing:
         # rank beyond the hidden width: nothing factored.
         assert select_factored_keys(env.scratch_model, 6, 10, 32) == frozenset()
 
-    def test_updates_carry_lazy_state_views(self, mlp_env_factory):
-        env = mlp_env_factory(
-            TrainConfig(local_epochs=1, batch_size=32, lr=0.05, momentum=0.9)
-        )
-        vector = env.layout.pack(env.init_state())
-        (update,) = train_cohort_flat(env, [0], vector, round_index=1)
-        assert isinstance(update.state, LazyStateView)
-        # Key iteration must not unpack...
-        assert list(update.state) == list(env.layout.keys)
-        assert update.state._dict is None
-        # ...value access materialises once and matches the flat row.
-        expected = unpack_state(update.flat, env.layout)
-        for key in expected:
-            np.testing.assert_array_equal(update.state[key], expected[key])
-
-    def test_lazy_state_loads_into_model(self, mlp_env_factory):
+    def test_update_row_loads_into_model(self, mlp_env_factory):
         env = mlp_env_factory(
             TrainConfig(local_epochs=1, batch_size=32, lr=0.05, momentum=0.9)
         )
         vector = env.layout.pack(env.init_state())
         (update,) = train_cohort_flat(env, [1], vector, round_index=1)
-        env.scratch_model.load_state_dict(dict(update.state))
+        assert update.flat.shape == (env.layout.n_params,)
+        env.scratch_model.load_state_dict(unpack_state(update.flat, env.layout))
         repacked = env.layout.pack(env.scratch_model.state_dict(copy=False))
         np.testing.assert_array_equal(repacked, update.flat)
 

@@ -61,8 +61,9 @@ class TestPaperClaims:
 
     def test_training_improves_over_initialisation(self, planted_federation):
         env = _env(planted_federation)
-        init_acc, _ = env.mean_local_accuracy(
-            [env.init_state()] * planted_federation.n_clients
+        init_acc, _ = env.evaluate_packed(
+            env.layout.pack(env.init_state()),
+            np.zeros(planted_federation.n_clients, dtype=np.int64),
         )
         result = FedAvg().run(env, n_rounds=3, eval_every=3)
         assert result.final_accuracy > init_acc + 0.2

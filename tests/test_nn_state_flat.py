@@ -3,7 +3,7 @@
 The invariants under test are the ones the hot paths rely on (see the
 ``repro.nn.state_flat`` module docstring): packing is an exact bijection
 onto the float64 plane, key subsets are column runs, and the packed
-aggregation kernel is bit-identical to the dict API built over it.
+aggregation kernel matches the per-key reference loop.
 """
 
 from __future__ import annotations
@@ -15,11 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import (
-    packed_weighted_average,
-    weighted_average,
-    weighted_average_dict,
-)
+from repro.fl.aggregation import packed_weighted_average, weighted_average_dict
 from repro.fl.communication import (
     decode_flat_payload,
     encode_flat_payload,
@@ -36,6 +32,7 @@ from repro.nn.state_flat import (
 )
 from repro.core.weights import packed_weight_matrix, weight_matrix
 
+from helpers import packed_average
 from retired import params_in_layout
 
 
@@ -174,7 +171,7 @@ class TestPackUnpack:
         with pytest.raises(ValueError, match="shape"):
             pack_state(bad, layout)
         with pytest.raises(ValueError, match="shape"):
-            weighted_average([state, bad], [1, 1])
+            pack_states([state, bad])
 
     def test_pack_states_cohort(self, rng):
         template = _mixed_state(rng)
@@ -228,8 +225,9 @@ class TestPackUnpack:
 
 
 class TestPackedWeightedAverage:
-    def test_bit_identical_to_dict_api(self, rng):
-        """The dict API is a view over the packed kernel — exact equality."""
+    def test_bit_identical_over_update_rows(self, rng):
+        """Rows stacked one by one (the round loop's cohort) and the
+        ``pack_states`` matrix average to the same state — exact equality."""
         template = _mixed_state(rng)
         for n in (1, 3, 16):
             states = [_like(template, rng) for _ in range(n)]
@@ -238,11 +236,12 @@ class TestPackedWeightedAverage:
             packed = unpack_state(
                 packed_weighted_average(matrix, weights), layout
             )
-            via_dict = weighted_average(states, weights)
-            assert list(packed) == list(via_dict)
+            rows = np.stack([layout.pack(s) for s in states])
+            via_rows = unpack_state(packed_weighted_average(rows, weights), layout)
+            assert list(packed) == list(via_rows) == list(template)
             for k in packed:
-                assert packed[k].dtype == via_dict[k].dtype
-                np.testing.assert_array_equal(packed[k], via_dict[k])
+                assert packed[k].dtype == via_rows[k].dtype == template[k].dtype
+                np.testing.assert_array_equal(packed[k], via_rows[k])
 
     def test_matches_legacy_loop(self, rng):
         """GEMV vs the per-key reference loop: equal to float64 round-off."""
@@ -250,7 +249,7 @@ class TestPackedWeightedAverage:
         states = [_like(template, rng) for _ in range(8)]
         weights = rng.integers(1, 50, size=8)
         legacy = weighted_average_dict(states, weights)
-        packed = weighted_average(states, weights)
+        packed = packed_average(states, weights)
         for k in legacy:
             np.testing.assert_allclose(
                 packed[k].astype(np.float64),
@@ -262,8 +261,8 @@ class TestPackedWeightedAverage:
     def test_weight_normalisation_identical(self, rng):
         template = _mixed_state(rng)
         states = [_like(template, rng) for _ in range(3)]
-        out = weighted_average(states, [2, 2, 2])
-        uniform = weighted_average(states, [1, 1, 1])
+        out = packed_average(states, [2, 2, 2])
+        uniform = packed_average(states, [1, 1, 1])
         for k in out:
             np.testing.assert_array_equal(out[k], uniform[k])
 

@@ -18,7 +18,7 @@ from repro.cluster.distance import (
 from repro.cluster.hierarchy import cut_by_k, linkage
 from repro.cluster.metrics import adjusted_rand_index
 from repro.data.partition import check_partition, dirichlet_partition, iid_partition
-from repro.fl.aggregation import weighted_average
+from repro.fl.aggregation import packed_weighted_average
 from repro.nn.functional import one_hot, softmax
 from repro.nn.state import flatten_state
 from repro.nn.state_flat import StateLayout, unpack_state
@@ -152,17 +152,14 @@ class TestPartitionProperties:
 
 class TestAggregationProperties:
     @staticmethod
-    def _states(values):
-        return [
-            OrderedDict([("w", np.full(3, float(v)))]) for v in values
-        ]
+    def _rows(values):
+        return np.array([np.full(3, float(v)) for v in values])
 
     @given(values=st.lists(st.floats(-10, 10), min_size=1, max_size=6))
     @settings(max_examples=40, deadline=None)
     def test_average_within_convex_hull(self, values):
-        states = self._states(values)
-        out = weighted_average(states, np.ones(len(values)))
-        assert min(values) - 1e-9 <= float(out["w"][0]) <= max(values) + 1e-9
+        out = packed_weighted_average(self._rows(values), np.ones(len(values)))
+        assert min(values) - 1e-9 <= float(out[0]) <= max(values) + 1e-9
 
     @given(
         value=st.floats(-10, 10),
@@ -171,9 +168,8 @@ class TestAggregationProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_identical_states_are_fixed_point(self, value, n, weights):
-        states = self._states([value] * n)
-        out = weighted_average(states, weights[:n])
-        np.testing.assert_allclose(out["w"], value, rtol=1e-9, atol=1e-9)
+        out = packed_weighted_average(self._rows([value] * n), weights[:n])
+        np.testing.assert_allclose(out, value, rtol=1e-9, atol=1e-9)
 
 
 class TestStateProperties:
