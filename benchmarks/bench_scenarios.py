@@ -66,11 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # package import (pytest) vs script import (scripts/bench.sh)
-    from benchmarks.bench_eval import _federation_env
-except ImportError:  # pragma: no cover - script entry point
-    from bench_eval import _federation_env
-
+from bench_train import _federation_env
 from repro.algorithms.base import GlobalModelRounds, fedavg_round_flat
 from repro.fl.config import TrainConfig
 from repro.fl.history import RunHistory

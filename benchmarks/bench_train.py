@@ -10,9 +10,9 @@ every federated simulation — two ways:
   (:mod:`repro.fl.train_flat`), with large linear layers riding the
   shared-base factored representation (:mod:`repro.nn.batched`).
 
-The headline preset is the wide MLP from ``BENCH_eval.json`` (~1.6M
-params, ``hidden=(512,)``) at 64 clients × 3 local epochs — the
-few-local-epochs regime clustered-FL sweeps live in.  A 2-epoch
+The headline preset is a wide MLP (~1.6M params, ``hidden=(512,)``)
+at 64 clients × 3 local epochs — the few-local-epochs regime
+clustered-FL sweeps live in.  A 2-epoch
 secondary shows the shorter-schedule ratio, and ``secondary_lenet5``
 records the honest conv story: no batched mirror exists for the im2col
 convolution, so every client falls back to the serial kernel and the
@@ -33,17 +33,14 @@ from pathlib import Path
 
 import numpy as np
 
-try:  # package import (pytest) vs script import (scripts/bench.sh)
-    from benchmarks.bench_eval import _federation_env
-except ImportError:  # pragma: no cover - script entry point
-    from bench_eval import _federation_env
-
+from repro.data.synthetic import make_dataset
 from repro.fl.config import TrainConfig
 from repro.fl.parallel import (
     BatchedClientExecutor,
     SerialClientExecutor,
     UpdateTask,
 )
+from repro.fl.simulation import FederatedEnv
 
 
 def _time_ms(fn, reps: int, warmup: int = 1) -> float:
@@ -56,6 +53,45 @@ def _time_ms(fn, reps: int, warmup: int = 1) -> float:
         fn()
         samples.append((time.perf_counter() - t0) * 1e3)
     return float(np.median(samples))
+
+
+def _federation_env(
+    n_clients: int,
+    samples_per_client: int,
+    seed: int = 0,
+    model_name: str = "mlp",
+    model_kwargs: dict | None = None,
+) -> FederatedEnv:
+    """A federation at eval-benchmark scale.
+
+    Built directly from one synthetic pool (equal slices) — partition
+    shape is irrelevant to evaluation cost, and equal test splits make
+    the work per client deterministic and comparable across runs.
+    """
+    from repro.data.federation import ClientData, Federation
+
+    pool = make_dataset("cifar10", n_clients * samples_per_client, seed)
+    clients = []
+    for cid in range(n_clients):
+        lo = cid * samples_per_client
+        local = pool.subset(np.arange(lo, lo + samples_per_client))
+        n_test = max(1, samples_per_client // 5)
+        train = local.subset(np.arange(n_test, samples_per_client))
+        test = local.subset(np.arange(n_test))
+        clients.append(ClientData(cid, train, test))
+    federation = Federation(
+        clients=clients,
+        n_classes=pool.n_classes,
+        input_shape=pool.input_shape,
+        dataset_name=pool.name,
+    )
+    return FederatedEnv(
+        federation,
+        model_name=model_name,
+        model_kwargs=model_kwargs,
+        train_cfg=TrainConfig(eval_batch_size=512),
+        seed=seed,
+    )
 
 
 def run_serial_vs_batched(

@@ -295,6 +295,10 @@ def _cmd_sweep(args: argparse.Namespace) -> dict:
 def _cmd_comm(args: argparse.Namespace) -> dict:
     from repro.experiments.ablations import run_communication_study
 
+    if not 0 < args.target <= 1:
+        raise SystemExit(
+            f"--target is an accuracy in (0, 1], got {args.target}"
+        )
     result = run_communication_study(
         dataset=args.dataset,
         scale=args.scale,

@@ -81,7 +81,7 @@ class ClusteringConfig:
     ----------
     linkage_method:
         Lance–Williams linkage over the proximity matrix (paper does not
-        pin one down; ``average`` is the default and A1 ablates it).
+        pin one down; ``average`` is the default).
     cut:
         ``"auto"`` — largest-gap heuristic (default; no predefined k);
         ``"silhouette"`` — adaptive silhouette-optimal k (no predefined

@@ -63,8 +63,7 @@ def resolve_selection_keys(model: Module, selection: str) -> list[str]:
     """Map a weight-selection spec to state-dict keys.
 
     * ``"final_layer"`` — the classifier (paper's choice);
-    * ``"all"`` — every parameter (what CFL-style methods transfer; the
-      A2 ablation baseline);
+    * ``"all"`` — every parameter (what CFL-style methods transfer);
     * ``"layer:<name>"`` — one named layer (e.g. ``"layer:conv1"``);
     * ``"index:<i>"`` — the i-th weighted layer, 1-based, Fig. 1 style.
     """
@@ -115,9 +114,8 @@ class FedClustConfig:
     warm_start_final_layer:
         If True, each cluster's initial model replaces its classifier
         with the within-cluster average of the uploaded final layers.
-        The paper does not specify this (default False); the A2 ablation
-        measures its effect — it is free information the server already
-        holds.
+        The paper does not specify this (default False); it is free
+        information the server already holds.
     max_clustering_attempts:
         Straggler tolerance for the one-shot round: clients that fail to
         report (e.g. under a scenario ``failure_rate``) are retried up to

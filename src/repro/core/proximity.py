@@ -2,7 +2,7 @@
 
 The server computes pairwise distances between the clients' uploaded
 partial weight vectors.  The paper uses Euclidean distance; cosine is
-provided for the ablation study (A2/A1 experiments).
+provided as an alternative.
 """
 
 from __future__ import annotations

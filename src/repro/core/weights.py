@@ -90,9 +90,8 @@ def packed_weight_matrix(
 ) -> np.ndarray:
     """Uploaded-weight matrix as a column selection of a packed cohort.
 
-    ``matrix`` is the ``(m, n_params)`` stack of flat client states (see
-    :func:`repro.nn.state_flat.pack_states` — or simply the clients'
-    ``ClientUpdate.flat`` rows).  Where :func:`weight_matrix` flattens
+    ``matrix`` is the ``(m, n_params)`` stack of flat client states (the
+    clients' ``ClientUpdate.flat`` rows).  Where :func:`weight_matrix` flattens
     every client's dict per call, this is ``matrix[:, columns]`` — a
     zero-copy view when ``keys`` occupy one contiguous run (true for the
     paper's final-layer selection, registered last in the model).

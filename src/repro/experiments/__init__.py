@@ -5,7 +5,8 @@ Experiment index (the paper's artefacts are listed in ``PAPER.md``):
 * T1 — :func:`repro.experiments.table1.run_table1` (paper Table I);
 * F1 — :func:`repro.experiments.fig1.run_fig1` (paper Fig. 1);
 * F2 — :func:`repro.experiments.fig2.run_fig2` (paper Fig. 2 workflow);
-* A1–A3, C1 — :mod:`repro.experiments.ablations`;
+* A3, C1 — :mod:`repro.experiments.ablations` (heterogeneity sweep,
+  communication cost);
 * scenario × algorithm ablation matrix — :mod:`repro.experiments.ablation`.
 """
 
@@ -27,12 +28,8 @@ from repro.experiments.ablation import (
 from repro.experiments.ablations import (
     AlphaSweepResult,
     CommunicationResult,
-    LinkageAblationResult,
-    WeightAblationResult,
     run_alpha_sweep,
     run_communication_study,
-    run_linkage_ablation,
-    run_weight_ablation,
 )
 from repro.experiments.fig1 import Fig1Result, format_fig1, run_fig1
 from repro.experiments.fig2 import Fig2Result, format_fig2, run_fig2
@@ -66,12 +63,8 @@ __all__ = [
     "run_matrix",
     "AlphaSweepResult",
     "CommunicationResult",
-    "LinkageAblationResult",
-    "WeightAblationResult",
     "run_alpha_sweep",
     "run_communication_study",
-    "run_linkage_ablation",
-    "run_weight_ablation",
     "Fig1Result",
     "format_fig1",
     "run_fig1",

@@ -1,16 +1,14 @@
-"""Ablation experiments (A1–A3) and the communication-cost study (C1).
+"""The heterogeneity sweep (A3) and the communication-cost study (C1).
 
-These go beyond the extended abstract's artefacts (``PAPER.md``) to
-probe FedClust's main design choices:
+These go beyond the extended abstract's artefacts (``PAPER.md``):
 
-* **A1 linkage** — does the HC linkage matter for cluster recovery?
-* **A2 weight selection** — final layer vs whole model vs first conv
-  layer as the clustering signature (the paper's "strategic selection"),
-  including the per-client upload cost of each choice.
 * **A3 heterogeneity sweep** — FedClust vs FedAvg across Dirichlet α
-  (the paper's future-work axis).
+  (the paper's future-work axis);
 * **C1 communication** — total and clustering-phase traffic per method,
   plus traffic needed to first reach a target accuracy.
+
+``repro sweep`` and ``repro comm`` run them; the paper's claims about
+both are checked in ``tests/test_paper_claims.py``.
 """
 
 from __future__ import annotations
@@ -18,13 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algorithms.registry import make_algorithm
-from repro.cluster.hierarchy import LINKAGE_METHODS
-from repro.cluster.metrics import adjusted_rand_index, group_separability
-from repro.core.clustering import ClusteringConfig, cluster_clients
-from repro.core.fedclust import FedClust, FedClustConfig
-from repro.core.proximity import proximity_matrix
-from repro.algorithms.base import cohort_matrix
-from repro.core.weights import packed_weight_matrix
 from repro.data.federation import build_federation
 from repro.experiments.presets import ExperimentScale, algorithm_kwargs, get_scale
 from repro.fl.simulation import FederatedEnv
@@ -32,10 +23,6 @@ from repro.utils.logging import get_logger
 from repro.utils.tables import Table
 
 __all__ = [
-    "LinkageAblationResult",
-    "run_linkage_ablation",
-    "WeightAblationResult",
-    "run_weight_ablation",
     "AlphaSweepResult",
     "run_alpha_sweep",
     "CommunicationResult",
@@ -43,175 +30,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("experiments.ablations")
-
-
-# ----------------------------------------------------------------------
-# A1 — linkage
-# ----------------------------------------------------------------------
-@dataclass
-class LinkageAblationResult:
-    """Cluster recovery per linkage method on a planted federation."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def format(self) -> str:
-        table = Table(
-            title="A1 — HC linkage ablation (planted 2-group federation)",
-            columns=["Linkage", "k found", "ARI", "Separability"],
-        )
-        for row in self.rows:
-            table.add_row(
-                [
-                    row["linkage"],
-                    str(row["k"]),
-                    f"{row['ari']:.2f}",
-                    f"{row['separability']:.2f}",
-                ]
-            )
-        return table.render()
-
-    def ari_of(self, linkage_method: str) -> float:
-        for row in self.rows:
-            if row["linkage"] == linkage_method:
-                return row["ari"]
-        raise KeyError(linkage_method)
-
-
-def run_linkage_ablation(
-    dataset: str = "fmnist",
-    scale: ExperimentScale | str | None = None,
-    seed: int = 0,
-) -> LinkageAblationResult:
-    """One clustering round, re-cut with each linkage method."""
-    scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
-    federation = build_federation(
-        dataset,
-        n_clients=scale.n_clients,
-        n_samples=scale.n_samples,
-        seed=seed,
-        partition="label_cluster",
-    )
-    assert federation.true_groups is not None
-    env = FederatedEnv(
-        federation, model_name="lenet5", train_cfg=scale.train, seed=seed
-    )
-    # One warm-up pass; the uploaded weight matrix is shared by all linkages.
-    fitted = FedClust(
-        FedClustConfig(warmup_steps=20, warmup_lr=0.01)
-    ).clustering_round(env)
-    sep = group_separability(fitted.proximity.matrix, federation.true_groups)
-
-    result = LinkageAblationResult()
-    for method in LINKAGE_METHODS:
-        clustering = cluster_clients(
-            fitted.proximity.matrix, ClusteringConfig(linkage_method=method)
-        )
-        ari = adjusted_rand_index(federation.true_groups, clustering.labels)
-        result.rows.append(
-            {
-                "linkage": method,
-                "k": clustering.n_clusters,
-                "ari": ari,
-                "separability": sep,
-            }
-        )
-        _LOG.info("A1 linkage=%s k=%d ari=%.2f", method, clustering.n_clusters, ari)
-    return result
-
-
-# ----------------------------------------------------------------------
-# A2 — weight selection
-# ----------------------------------------------------------------------
-@dataclass
-class WeightAblationResult:
-    """Signature quality and upload cost per weight selection."""
-
-    rows: list[dict] = field(default_factory=list)
-
-    def format(self) -> str:
-        table = Table(
-            title="A2 — weight-selection ablation (what clients upload)",
-            columns=["Selection", "Upload (params)", "Separability", "ARI", "k"],
-        )
-        for row in self.rows:
-            table.add_row(
-                [
-                    row["selection"],
-                    str(row["upload"]),
-                    f"{row['separability']:.2f}",
-                    f"{row['ari']:.2f}",
-                    str(row["k"]),
-                ]
-            )
-        return table.render()
-
-    def row_of(self, selection: str) -> dict:
-        for row in self.rows:
-            if row["selection"] == selection:
-                return row
-        raise KeyError(selection)
-
-
-def run_weight_ablation(
-    dataset: str = "fmnist",
-    selections: tuple[str, ...] = ("final_layer", "all", "index:1"),
-    scale: ExperimentScale | str | None = None,
-    seed: int = 0,
-) -> WeightAblationResult:
-    """Same warm-up, different uploaded weight subsets."""
-    scale = scale if isinstance(scale, ExperimentScale) else get_scale(scale)
-    federation = build_federation(
-        dataset,
-        n_clients=scale.n_clients,
-        n_samples=scale.n_samples,
-        seed=seed,
-        partition="label_cluster",
-    )
-    assert federation.true_groups is not None
-    env = FederatedEnv(
-        federation, model_name="lenet5", train_cfg=scale.train, seed=seed
-    )
-    # Train once with the full state retained, then slice per selection.
-    algo = FedClust(FedClustConfig(warmup_steps=20, warmup_lr=0.01))
-    from repro.core.fedclust import resolve_selection_keys
-    from repro.fl.parallel import UpdateTask
-
-    init = env.layout.pack(env.init_state())
-    warm_cfg = algo.config.warmup_train_cfg(env.train_cfg)
-    original = env.train_cfg
-    env.train_cfg = warm_cfg
-    try:
-        updates = env.run_updates(
-            [UpdateTask(cid, flat=init) for cid in range(federation.n_clients)], 1
-        )
-    finally:
-        env.train_cfg = original
-    updates.sort(key=lambda u: u.client_id)
-    # One packed cohort; each selection is a column slice of it.
-    cohort = cohort_matrix(updates)
-
-    result = WeightAblationResult()
-    for selection in selections:
-        keys = resolve_selection_keys(env.scratch_model, selection)
-        w = packed_weight_matrix(cohort, env.layout, keys)
-        prox = proximity_matrix(w)
-        clustering = cluster_clients(prox.matrix, ClusteringConfig())
-        ari = adjusted_rand_index(federation.true_groups, clustering.labels)
-        result.rows.append(
-            {
-                "selection": selection,
-                "upload": int(w.shape[1]),
-                "separability": group_separability(
-                    prox.matrix, federation.true_groups
-                ),
-                "ari": ari,
-                "k": clustering.n_clusters,
-            }
-        )
-        _LOG.info(
-            "A2 selection=%s upload=%d ari=%.2f", selection, w.shape[1], ari
-        )
-    return result
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ and produces a machine-checkable trace:
    later and is assigned to an existing cluster in real time.
 
 The trace records, for each step, what was transferred and what the
-server decided, so the benchmark can assert the workflow's claims: the
+server decided, so the claim tests can assert the workflow's claims: the
 clustering used exactly one round, only partial weights were uploaded,
 the planted groups were recovered, and the newcomer landed in its
 ground-truth cluster with a model that serves it better than the global

@@ -5,7 +5,7 @@ NumPy simulator on a laptop regenerates the same *shapes* at reduced
 scale.  Three presets are provided and selected by the ``REPRO_SCALE``
 environment variable (default ``quick``):
 
-* ``quick`` — seconds-per-experiment; used by the default benchmark run
+* ``quick`` — seconds-per-experiment; used by the paper-claim tests
   and CI.
 * ``bench`` — minutes-per-experiment; tighter statistics.
 * ``paper`` — the full configuration (tens of minutes on a laptop);

@@ -1,9 +1,6 @@
 """Federated-learning simulation substrate."""
 
-from repro.fl.aggregation import (
-    packed_weighted_average,
-    weighted_average_dict,
-)
+from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import (
     ClientUpdate,
     local_train,
@@ -33,7 +30,7 @@ from repro.fl.eval_flat import (
     evaluate_packed,
     fused_evaluate,
 )
-from repro.fl.evaluation import EvalResult, evaluate_model, mean_local_accuracy
+from repro.fl.evaluation import EvalResult, evaluate_model
 from repro.fl.history import RoundRecord, RunHistory
 from repro.fl.parallel import (
     BatchedClientExecutor,
@@ -58,7 +55,6 @@ from repro.fl.train_flat import plan_cohort_schedule, supports_batched, train_co
 
 __all__ = [
     "packed_weighted_average",
-    "weighted_average_dict",
     "ClientUpdate",
     "local_train",
     "run_client_update_flat",
@@ -82,7 +78,6 @@ __all__ = [
     "fused_evaluate",
     "EvalResult",
     "evaluate_model",
-    "mean_local_accuracy",
     "RoundRecord",
     "RunHistory",
     "BatchedClientExecutor",

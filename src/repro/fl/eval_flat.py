@@ -4,9 +4,9 @@ The Table-I metric (mean local test accuracy) asks every client to
 evaluate the model that serves it on its own held-out split.  At most
 ``k`` *distinct* models serve the ``n`` clients — the global model
 (FedAvg/FedProx: ``k = 1``), or one model per cluster (FedClust, IFCA,
-CFL, PACFL: ``k`` = cluster count) — yet the reference protocol
-(:func:`repro.fl.evaluation.mean_local_accuracy`) loads one state per
-client and runs each client's split as its own serial batch loop.
+CFL, PACFL: ``k`` = cluster count) — yet the plain protocol loads one
+state per client and runs each client's split as its own serial batch
+loop (:func:`repro.fl.evaluation.evaluate_model` per client).
 
 This module collapses that n-fold loop to a k-fold one:
 
@@ -31,8 +31,8 @@ pass feeds the model the same rows in the same order (only batch
 *composition* changes, which the forward pass is row-independent under).
 Per-client **loss** is the same quantity summed in a different order
 (per-sample instead of per-batch-mean), so it matches to float64
-round-off, not bitwise.  ``benchmarks/bench_eval.py`` records both the
-speedup and the accuracy bit-identity flag per PR.
+round-off, not bitwise.  ``tests/test_fl_eval_flat.py`` checks both
+against the per-client loop.
 """
 
 from __future__ import annotations

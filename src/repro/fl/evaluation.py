@@ -1,35 +1,23 @@
-"""Evaluation protocol — reference (per-client, serial) implementation.
+"""Single-model evaluation: one model on one dataset.
 
-Table I reports the **mean local test accuracy**: every client evaluates
-the model that serves it (global model, or its cluster's model) on its
-own held-out split drawn from its own distribution; the per-client
-accuracies are averaged.  This module implements that protocol plus the
-underlying single-dataset evaluation primitive.
-
-The functions here are the *reference* kernels: one state load and one
-serial batch loop per client.  The hot path lives in
+:func:`evaluate_model` is the serial primitive: deterministic, in eval
+mode, one batch loop over the dataset.  The Table-I metric (mean local
+test accuracy over clients) runs on the fused path in
 :mod:`repro.fl.eval_flat`, which loads each distinct serving model once
-and fuses the forward passes of all clients sharing it (recovering
-per-client statistics by segment reductions) — analogous to how
-``weighted_average_dict`` is the reference for the packed aggregation
-GEMV.  Per-client accuracies from the fused path are bit-identical to
-:func:`mean_local_accuracy`; losses agree to float64 round-off (the
-same sum taken per-sample instead of per-batch-mean).  Tests and
-``benchmarks/bench_eval.py`` cross-check the two paths.
+and streams the test splits of all clients sharing it through shared
+batches; its per-client accuracies are bit-identical to calling
+:func:`evaluate_model` once per client, which the tests check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
-
-import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 
-__all__ = ["EvalResult", "evaluate_model", "mean_local_accuracy"]
+__all__ = ["EvalResult", "evaluate_model"]
 
 
 @dataclass
@@ -68,30 +56,3 @@ def evaluate_model(
         n_samples=n,
         n_correct=n_correct,
     )
-
-
-def mean_local_accuracy(
-    model: Module,
-    client_states: Sequence[Mapping[str, np.ndarray]],
-    client_testsets: Sequence[ArrayDataset],
-    batch_size: int = 512,
-) -> tuple[float, np.ndarray]:
-    """Mean (and per-client vector) of local test accuracies.
-
-    ``client_states[i]`` is the state dict serving client ``i`` —
-    algorithms pass the global state for every client, or each client's
-    cluster model.  ``model`` is a scratch instance reused across clients.
-
-    Reference implementation (one load + one batch loop per client);
-    production call sites go through :mod:`repro.fl.eval_flat`, which is
-    bit-identical on accuracies and ~k/n the server-side work.
-    """
-    if len(client_states) != len(client_testsets):
-        raise ValueError(
-            f"{len(client_states)} states but {len(client_testsets)} test sets"
-        )
-    accs = np.zeros(len(client_states))
-    for i, (state, testset) in enumerate(zip(client_states, client_testsets)):
-        model.load_state_dict(state)
-        accs[i] = evaluate_model(model, testset, batch_size=batch_size).accuracy
-    return float(accs.mean()), accs

@@ -15,8 +15,8 @@ and a client executor.  Algorithms (in :mod:`repro.algorithms` and
 Evaluation runs on the fused path (:mod:`repro.fl.eval_flat`): clients
 are grouped by the packed row that serves them, each distinct row is
 loaded once, and the group's test splits share forward batches, with
-per-client accuracies bit-identical to the serial reference loop
-(:func:`repro.fl.evaluation.mean_local_accuracy`).
+per-client accuracies bit-identical to evaluating each client serially
+(:func:`repro.fl.evaluation.evaluate_model`).
 
 Everything stochastic derives from the environment seed via stateless
 :func:`repro.utils.rng.rng_for` keys, so any algorithm run on an

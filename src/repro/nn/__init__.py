@@ -40,7 +40,6 @@ from repro.nn.module import Module, Sequential
 from repro.nn.state_flat import (
     StateLayout,
     pack_state,
-    pack_states,
     unpack_keys,
     unpack_state,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "state_flat",
     "StateLayout",
     "pack_state",
-    "pack_states",
     "unpack_keys",
     "unpack_state",
     "AvgPool2d",

@@ -1,9 +1,7 @@
-"""Dict-state helpers.
+"""Dict-state helper: flatten (a subset of) a state into one vector.
 
-The dict-path aggregation reference
-(:func:`repro.fl.aggregation.weighted_average_dict`) and flattened
-weight views build on these few primitives; everything else runs on the
-flat plane (:mod:`repro.nn.state_flat`).
+FedClust's flattened weight views build on :func:`flatten_state`;
+everything else runs on the flat plane (:mod:`repro.nn.state_flat`).
 
 A *state* is an ordered ``dict[str, np.ndarray]`` as produced by
 :meth:`repro.nn.module.Module.state_dict`.
@@ -11,44 +9,11 @@ A *state* is an ordered ``dict[str, np.ndarray]`` as produced by
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = [
-    "state_zeros_like",
-    "state_axpy",
-    "flatten_state",
-    "check_same_keys",
-]
-
-
-def check_same_keys(states: Sequence[Mapping[str, np.ndarray]]) -> list[str]:
-    """Require all states to share an identical key sequence; return it."""
-    if not states:
-        raise ValueError("need at least one state dict")
-    keys = list(states[0].keys())
-    for i, s in enumerate(states[1:], start=1):
-        if list(s.keys()) != keys:
-            raise KeyError(
-                f"state {i} keys differ from state 0: "
-                f"{sorted(set(s) ^ set(keys))}"
-            )
-    return keys
-
-
-def state_zeros_like(state: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
-    """Zero-filled state with the same keys/shapes/dtypes."""
-    return OrderedDict((k, np.zeros_like(v)) for k, v in state.items())
-
-
-def state_axpy(
-    acc: dict[str, np.ndarray], state: Mapping[str, np.ndarray], factor: float
-) -> None:
-    """In-place ``acc += factor * state`` (the aggregation inner loop)."""
-    for k, v in state.items():
-        acc[k] += factor * v
+__all__ = ["flatten_state"]
 
 
 def flatten_state(

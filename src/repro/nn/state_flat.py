@@ -61,7 +61,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "StateLayout",
     "pack_state",
-    "pack_states",
     "unpack_state",
     "unpack_keys",
 ]
@@ -251,28 +250,6 @@ def pack_state(
             )
         out[offset_lo:offset_hi] = value.reshape(-1)
     return out
-
-
-def pack_states(
-    states: Sequence[Mapping[str, np.ndarray]],
-    layout: StateLayout | None = None,
-) -> tuple[np.ndarray, StateLayout]:
-    """Pack a cohort of states into one ``(n_clients, n_params)`` matrix.
-
-    Row ``i`` is client ``i``'s packed state.  The matrix is float64 and
-    C-contiguous — the direct operand of
-    :func:`repro.fl.aggregation.packed_weighted_average` and
-    :func:`repro.core.weights.packed_weight_matrix`.
-    """
-    states = list(states)
-    if not states:
-        raise ValueError("need at least one state to pack")
-    if layout is None:
-        layout = StateLayout.from_state(states[0])
-    matrix = np.empty((len(states), layout.n_params), dtype=np.float64)
-    for i, state in enumerate(states):
-        pack_state(state, layout, out=matrix[i])
-    return matrix, layout
 
 
 def unpack_state(

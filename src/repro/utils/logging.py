@@ -27,7 +27,7 @@ def get_logger(name: str | None = None) -> logging.Logger:
 def enable_console_logging(level: int = logging.INFO) -> logging.Logger:
     """Attach a stderr handler to the library logger (idempotent).
 
-    Examples and benchmark harnesses call this; the library itself never
+    The CLI and the examples call this; the library itself never
     does, so embedding applications stay in control of log routing.
     """
     logger = get_logger()

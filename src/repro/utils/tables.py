@@ -1,8 +1,8 @@
 """ASCII table rendering for paper-style result tables.
 
-The benchmark harness regenerates the paper's Table I and the ablation
-tables as monospace text; this module owns the formatting so every bench
-prints consistently and tests can assert on structure.
+The CLI regenerates the paper's Table I and the ablation tables as
+monospace text; this module owns the formatting so every command prints
+consistently and tests can assert on structure.
 """
 
 from __future__ import annotations

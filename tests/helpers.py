@@ -1,6 +1,8 @@
 """Shared test utilities: numerical gradient checking, a cophenetic-distance
-oracle, the ReLU-select oracle, event-log views and the FedAvg rule over
-state dicts.
+oracle, the ReLU-select oracle, event-log views, the FedAvg rule over
+state dicts, and the dict-path oracles the packed kernels are checked
+against (per-key weighted average, cohort packing, per-client
+evaluation loop).
 
 The gradient checker is the backbone of the ``repro.nn`` test suite:
 every layer's analytic backward pass is compared against central-
@@ -11,11 +13,16 @@ catch any indexing/transposition bug, which corrupts most coordinates).
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from typing import Mapping, Sequence
+
 import numpy as np
 
-from repro.fl.aggregation import packed_weighted_average
+from repro.data.dataset import ArrayDataset
+from repro.fl.aggregation import _normalized_weights, packed_weighted_average
+from repro.fl.evaluation import evaluate_model
 from repro.nn.module import Module
-from repro.nn.state_flat import pack_states, unpack_state
+from repro.nn.state_flat import StateLayout, pack_state, unpack_state
 
 
 def loss_for(module: Module, x: np.ndarray, probe: np.ndarray) -> float:
@@ -179,3 +186,106 @@ def packed_average(states, weights):
     the cohort, one :func:`packed_weighted_average` GEMV, unpack."""
     matrix, layout = pack_states(states)
     return unpack_state(packed_weighted_average(matrix, weights), layout)
+
+
+# ----------------------------------------------------------------------
+# Dict-path oracles for the packed kernels
+# ----------------------------------------------------------------------
+def check_same_keys(states: Sequence[Mapping[str, np.ndarray]]) -> list[str]:
+    """Require all states to share an identical key sequence; return it."""
+    if not states:
+        raise ValueError("need at least one state dict")
+    keys = list(states[0].keys())
+    for i, s in enumerate(states[1:], start=1):
+        if list(s.keys()) != keys:
+            raise KeyError(
+                f"state {i} keys differ from state 0: "
+                f"{sorted(set(s) ^ set(keys))}"
+            )
+    return keys
+
+
+def state_zeros_like(state: Mapping[str, np.ndarray]) -> "OrderedDict[str, np.ndarray]":
+    """Zero-filled state with the same keys/shapes/dtypes."""
+    return OrderedDict((k, np.zeros_like(v)) for k, v in state.items())
+
+
+def state_axpy(
+    acc: dict[str, np.ndarray], state: Mapping[str, np.ndarray], factor: float
+) -> None:
+    """In-place ``acc += factor * state`` (the aggregation inner loop)."""
+    for k, v in state.items():
+        acc[k] += factor * v
+
+
+def weighted_average_dict(
+    states: Sequence[Mapping[str, np.ndarray]],
+    weights: Sequence[float],
+) -> "OrderedDict[str, np.ndarray]":
+    """Reference per-key implementation of the FedAvg rule.
+
+    The pre-flat-plane kernel: a Python loop of per-key AXPYs with a
+    float64 accumulator, cast back to the parameter dtype at the end.
+    Kept as the baseline that benchmarks and numerical cross-checks
+    compare the packed kernel against.
+    """
+    check_same_keys(list(states))
+    w = _normalized_weights(weights, len(states))
+
+    acc = state_zeros_like(states[0])
+    # Accumulate in float64 for stability, cast back to parameter dtype.
+    acc64 = OrderedDict((k, v.astype(np.float64)) for k, v in acc.items())
+    for state, weight in zip(states, w):
+        state_axpy(acc64, state, weight)
+    return OrderedDict(
+        (k, acc64[k].astype(states[0][k].dtype)) for k in acc64
+    )
+
+
+def pack_states(
+    states: Sequence[Mapping[str, np.ndarray]],
+    layout: StateLayout | None = None,
+) -> tuple[np.ndarray, StateLayout]:
+    """Pack a cohort of states into one ``(n_clients, n_params)`` matrix.
+
+    Row ``i`` is client ``i``'s packed state.  The matrix is float64 and
+    C-contiguous — the direct operand of
+    :func:`repro.fl.aggregation.packed_weighted_average` and
+    :func:`repro.core.weights.packed_weight_matrix`.
+    """
+    states = list(states)
+    if not states:
+        raise ValueError("need at least one state to pack")
+    if layout is None:
+        layout = StateLayout.from_state(states[0])
+    matrix = np.empty((len(states), layout.n_params), dtype=np.float64)
+    for i, state in enumerate(states):
+        pack_state(state, layout, out=matrix[i])
+    return matrix, layout
+
+
+def mean_local_accuracy(
+    model: Module,
+    client_states: Sequence[Mapping[str, np.ndarray]],
+    client_testsets: Sequence[ArrayDataset],
+    batch_size: int = 512,
+) -> tuple[float, np.ndarray]:
+    """Mean (and per-client vector) of local test accuracies.
+
+    ``client_states[i]`` is the state dict serving client ``i`` —
+    algorithms pass the global state for every client, or each client's
+    cluster model.  ``model`` is a scratch instance reused across clients.
+
+    Reference implementation (one load + one batch loop per client);
+    production call sites go through :mod:`repro.fl.eval_flat`, which is
+    bit-identical on accuracies and ~k/n the server-side work.
+    """
+    if len(client_states) != len(client_testsets):
+        raise ValueError(
+            f"{len(client_states)} states but {len(client_testsets)} test sets"
+        )
+    accs = np.zeros(len(client_states))
+    for i, (state, testset) in enumerate(zip(client_states, client_testsets)):
+        model.load_state_dict(state)
+        accs[i] = evaluate_model(model, testset, batch_size=batch_size).accuracy
+    return float(accs.mean()), accs

@@ -34,12 +34,11 @@ from repro.nn.loss import CrossEntropyLoss, Loss
 from repro.nn.module import Module
 from repro.nn.optim import Optimizer
 from repro.nn.parameter import Parameter
-from repro.nn.state import check_same_keys
 from repro.utils.logging import get_logger
 from repro.utils.rng import make_rng
 from repro.utils.validation import check_array, check_fraction, check_positive
 
-from helpers import packed_average
+from helpers import check_same_keys, packed_average
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.nn.state_flat import StateLayout

@@ -84,6 +84,14 @@ class TestParser:
         with pytest.raises(SystemExit, match="--shard-size needs --store sharded"):
             main(["run", "--shard-size", "8"])
 
+    @pytest.mark.parametrize("target", ["80", "0", "-0.5", "1.01"])
+    def test_comm_target_outside_unit_interval(self, target):
+        # A percentage typed for a fraction must stop before the study
+        # runs, not fill every traffic-to-target cell with "—".
+        assert build_parser().parse_args(["comm", "--target", target]).target == float(target)
+        with pytest.raises(SystemExit, match=r"--target is an accuracy in \(0, 1\]"):
+            main(["comm", "--target", target])
+
 
 @pytest.mark.slow
 class TestCliExecution:

@@ -9,11 +9,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.ablations import (
-    run_communication_study,
-    run_linkage_ablation,
-    run_weight_ablation,
-)
+from repro.experiments.ablations import run_communication_study
 from repro.experiments.fig1 import PAPER_LAYERS, format_fig1, run_fig1
 from repro.experiments.fig2 import format_fig2, run_fig2
 from repro.experiments.presets import (
@@ -127,26 +123,6 @@ class TestFig2Driver:
 
 @pytest.mark.slow
 class TestAblationDrivers:
-    def test_linkage_ablation(self):
-        result = run_linkage_ablation(scale=MICRO)
-        assert {row["linkage"] for row in result.rows} == {
-            "single",
-            "complete",
-            "average",
-            "ward",
-        }
-        assert "A1" in result.format()
-
-    def test_weight_ablation(self):
-        result = run_weight_ablation(
-            scale=MICRO, selections=("final_layer", "index:1")
-        )
-        final = result.row_of("final_layer")
-        conv = result.row_of("index:1")
-        assert final["upload"] > 0 and conv["upload"] > 0
-        with pytest.raises(KeyError):
-            result.row_of("nope")
-
     def test_communication_study(self):
         result = run_communication_study(
             methods=("fedavg", "fedclust"), scale=MICRO, target_accuracy=0.2

@@ -8,9 +8,11 @@ import pytest
 from repro.data.synthetic import make_dataset
 from repro.fl.client import local_train, run_client_update_flat
 from repro.fl.config import TrainConfig
-from repro.fl.evaluation import evaluate_model, mean_local_accuracy
+from repro.fl.evaluation import evaluate_model
 from repro.nn.models import mlp
 from repro.nn.state_flat import StateLayout
+
+from helpers import mean_local_accuracy
 
 
 @pytest.fixture

@@ -17,10 +17,12 @@ from repro.algorithms.base import cohort_matrix, fedavg_round_flat
 from repro.fl.aggregation import packed_weighted_average
 from repro.fl.client import ClientUpdate
 from repro.fl.eval_flat import evaluate_packed, fused_evaluate, members_of_labels
-from repro.fl.evaluation import evaluate_model, mean_local_accuracy
+from repro.fl.evaluation import evaluate_model
 from repro.nn.models import mlp
-from repro.nn.state_flat import StateLayout, pack_state, pack_states, unpack_state
+from repro.nn.state_flat import StateLayout, pack_state, unpack_state
 from repro.data.synthetic import make_dataset
+
+from helpers import mean_local_accuracy, pack_states
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
-"""Dict-state helpers (live) and the retired state-dict arithmetic."""
+"""The live dict-state helper, the dict-path oracles and the retired
+state-dict arithmetic."""
 
 from __future__ import annotations
 
@@ -8,14 +9,10 @@ import numpy as np
 import pytest
 
 from repro.nn.models import mlp
-from repro.nn.state import (
-    check_same_keys,
-    flatten_state,
-    state_axpy,
-    state_zeros_like,
-)
+from repro.nn.state import flatten_state
 from repro.nn.state_flat import StateLayout, unpack_state
 
+from helpers import check_same_keys, state_axpy, state_zeros_like
 from retired import (
     state_add,
     state_allclose,

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fl.aggregation import packed_weighted_average, weighted_average_dict
+from repro.fl.aggregation import packed_weighted_average
 from repro.fl.communication import (
     decode_flat_payload,
     encode_flat_payload,
@@ -26,13 +26,12 @@ from repro.nn.state import flatten_state
 from repro.nn.state_flat import (
     StateLayout,
     pack_state,
-    pack_states,
     unpack_keys,
     unpack_state,
 )
 from repro.core.weights import packed_weight_matrix, weight_matrix
 
-from helpers import packed_average
+from helpers import pack_states, packed_average, weighted_average_dict
 from retired import params_in_layout
 
 

@@ -1,5 +1,5 @@
-"""Public API surface: imports, __all__ hygiene, version, docstrings, and
-no library code that only the tests reach."""
+"""Public API surface: imports, __all__ hygiene, version, docstrings, no
+library code that only the tests reach, and no benchmark nothing runs."""
 
 from __future__ import annotations
 
@@ -139,4 +139,22 @@ def test_every_src_definition_is_reachable():
     assert not unreached, (
         "library definitions no entry point reaches (delete them, or move "
         "test oracles into tests/):\n  " + "\n  ".join(unreached)
+    )
+
+
+def test_every_benchmark_script_is_run():
+    """Every ``benchmarks/*.py`` is named by ``scripts/bench.sh`` or the CI
+    workflow, so no benchmark code lives on that nothing runs."""
+    runners = "\n".join(
+        (ROOT / path).read_text()
+        for path in ("scripts/bench.sh", ".github/workflows/tier1.yml")
+    )
+    orphans = sorted(
+        path.name
+        for path in (ROOT / "benchmarks").glob("*.py")
+        if f"benchmarks/{path.name}" not in runners
+    )
+    assert not orphans, (
+        "benchmark files neither scripts/bench.sh nor the CI workflow runs "
+        "(wire them in or delete them):\n  " + "\n  ".join(orphans)
     )
